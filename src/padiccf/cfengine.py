@@ -99,28 +99,39 @@ class RepresentativeFloor:
         self._basis = [
             field.from_integral_coords([int(i == j) for j in range(d)]) for i in range(d)
         ]
-        self._embed_matrix = None  # float Babai data, built lazily
+        self._places = None  # float embedding data, built lazily
 
     def _babai_data(self):
-        if self._embed_matrix is None:
-            field = self.prime.field
+        """From the certified sigma(b_k) of the integral basis: per real or
+        upper-half-plane embedding the float midpoints of Re, Im and |Re|+|Im|,
+        one radius covering half-widths and float conversion, and the inverse
+        of the Babai matrix (complex columns scaled by sqrt(2))."""
+        if self._places is None:
             prec = self.prec
-            boxes = field.embeddings(prec)
-            rows = []
-            for b in self._basis:
-                vec: list[float] = []
-                for i, box in enumerate(boxes):
+            places = []
+            rows: list[list[float]] = [[] for _ in self._basis]
+            radius = Fraction(0)
+            for i, box in enumerate(self.prime.field.embeddings(prec)):
+                real = box.im.is_exact() and box.im.lo == 0
+                if not real and not box.im.lo > 0:
+                    continue  # the conjugate of an upper-half-plane embedding
+                re, im = [], []
+                for k, b in enumerate(self._basis):
                     e = b.embed(i, prec)
-                    if box.im.is_exact() and box.im.lo == 0:
-                        vec.append(float(e.re.midpoint()))
-                    elif box.im.lo > 0:
-                        vec.extend(
-                            (float(e.re.midpoint()) * 2 ** 0.5, float(e.im.midpoint()) * 2 ** 0.5)
-                        )
-                rows.append(vec)
+                    for part, mids in ((e.re, re), (e.im, im)):
+                        mid = part.midpoint()
+                        mids.append(float(mid))
+                        radius = max(radius, part.width() / 2 + abs(Fraction(mids[-1]) - mid))
+                    if real:
+                        rows[k].append(re[-1])
+                    else:
+                        rows[k].extend((re[-1] * 2 ** 0.5, im[-1] * 2 ** 0.5))
+                places.append((re, im, [abs(a) + abs(b) for a, b in zip(re, im)]))
             mat = np.array(rows, dtype=float)
-            self._embed_matrix = (mat, np.linalg.inv(mat))
-        return self._embed_matrix
+            self._places = places
+            self._radius = float(radius)
+            self._mat_inv = np.linalg.inv(mat)
+        return self._mat_inv
 
     def _float_vector(self, x: NFElement) -> "np.ndarray":
         field = self.prime.field
@@ -144,35 +155,68 @@ class RepresentativeFloor:
         alpha_prime = canonical_lift(eta, self.prime, self.gamma)
         xi = alpha_prime / self.gamma
         eps_sq = self.epsilon.square()
+        eps_hi = float(eps_sq.hi) * (1 + 2.0 ** -40)
         d = field.degree
-        _, mat_inv = self._babai_data()
+        mat_inv = self._babai_data()
         best_margin = None
         for j in range(1, self.M):
             if j % self.prime.p == 0:
                 continue  # j in P would break the coset condition
             jxi = xi * j
             coeffs = self._float_vector(jxi) @ mat_inv
-            center = [round(c) for c in coeffs]
+            center = [int(round(c)) for c in coeffs]  # numpy < 2 rounds to floats
+            # u = j*xi - tau for tau = sum_k (center_k + offset_k) b_k has
+            # integral-basis coordinates (nums_k - offset_k * dens_k) / dens_k
+            coords = field.to_integral_coords(jxi)
+            dens = [c.denominator for c in coords]
+            nums = [c.numerator - m * q for c, m, q in zip(coords, center, dens)]
             for radius in (0, 1, 2):
                 for offset in itertools.product(range(-radius, radius + 1), repeat=d):
                     if radius and max(abs(o) for o in offset) != radius:
                         continue
-                    n = [c + o for c, o in zip(center, offset)]
-                    tau = field.zero()
-                    for ni, b in zip(n, self._basis):
-                        if ni:
-                            tau = tau + b * ni
-                    u = jxi - tau
-                    verdict, margin = self._certify(u, eps_sq, prec)
+                    x = [n - o * q for n, o, q in zip(nums, offset, dens)]
+                    margin = self._float_rejects(x, dens, eps_hi)
+                    if margin is None:
+                        u = field.from_integral_coords([Fraction(n, q) for n, q in zip(x, dens)])
+                        verdict, margin = self._certify(u, eps_sq, prec)
+                        if verdict:
+                            return self.gamma * (u / j)
                     if best_margin is None or (margin is not None and margin < best_margin):
                         best_margin = margin
-                    if verdict:
-                        return self.gamma * (xi - tau / j)
         raise SearchExhausted(
             f"no (j, tau) pair certified below epsilon "
             f"(best squared margin {best_margin}); the prime may be too small "
             "for this M or the precision too low"
         )
+
+    def _float_rejects(self, nums: list[int], dens: list[int], eps_hi: float) -> float | None:
+        """Certified float test that some |sigma(u)|^2 exceeds eps_hi, for u
+        with integral-basis coordinates nums_k / dens_k: a lower bound of the
+        excess, or None when floats cannot show one.  The float sum S of
+        x_k * sigma(b_k) is within sum|x_k| * radius + (d+2) 2^-53
+        sum|x_k|(|Re|+|Im|) of sigma(u) (Higham 2002, secs. 3.1, 4.2); err
+        doubles the coefficient and the whole, covering its own rounding and
+        underflow, and the 2^-40 factors cover the final comparison.
+        Non-finite values compare false and never reject."""
+        try:
+            xf = [n / q for n, q in zip(nums, dens)]  # correctly rounded
+        except OverflowError:
+            return None
+        size = sum(abs(a) for a in xf)
+        rel = (2 * len(xf) + 4) * 2.0 ** -53
+        for re, im, mag in self._places:
+            s_re = s_im = scale = 0.0
+            for a, r, i, m in zip(xf, re, im, mag):
+                s_re += a * r
+                s_im += a * i
+                scale += abs(a) * m
+            err = 2 * (size * self._radius + rel * scale)
+            lo_re = max(abs(s_re) - err, 0.0)
+            lo_im = max(abs(s_im) - err, 0.0)
+            lower = (lo_re * lo_re + lo_im * lo_im) * (1 - 2.0 ** -40)
+            if lower > eps_hi:
+                return lower - eps_hi
+        return None
 
     def _certify(self, u: NFElement, eps_sq: RealInterval, prec: int):
         """Certified check max_sigma |sigma(u)|^2 < epsilon^2; returns

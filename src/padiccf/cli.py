@@ -301,11 +301,31 @@ def _build_type(lf: LoadedField, args):
     return spec, idx, gen
 
 
+def _type_inputs(lf: LoadedField, args, spec, prime_index: int, gen, **extra) -> dict:
+    """The inputs block shared by the reports of the type commands."""
+    inputs = {"field": lf.label, "prime": args.prime, "prime_index": prime_index,
+              "floor": spec.floor.describe(), **extra}
+    if gen is not None:
+        inputs["prime_gen"] = args.prime_gen
+        inputs["gamma"] = coords_str(gen) if args.floor == "representative" else None
+    return inputs
+
+
 def cmd_expand(args) -> int:
     lf = _resolve_field(args.field, args.precision)
     spec, prime_index, gen = _build_type(lf, args)
     alpha = parse_coords(lf.field, args.alpha)
-    exp = cfengine.expand(alpha, spec, cap=args.cap, prec=args.precision)
+    inputs = _type_inputs(lf, args, spec, prime_index, gen, alpha=args.alpha, cap=args.cap)
+    report = _base_report("expand", args, inputs)
+    report["warnings"] = list(spec.warnings)
+    try:
+        exp = cfengine.expand(alpha, spec, cap=args.cap, prec=args.precision)
+    except SearchExhausted as exc:
+        # keep the inputs and the type's warnings, which often explain why
+        report["error"] = f"search exhausted: {exc}"
+        _emit(report, args, [])
+        raise
+    inputs["cap"] = exp.cap
     steps = []
     for s in exp.steps:
         steps.append(
@@ -318,24 +338,11 @@ def cmd_expand(args) -> int:
                 "nu": interval_json(s.nu) if s.nu is not None else None,
             }
         )
-    inputs = {
-        "field": lf.label,
-        "alpha": args.alpha,
-        "prime": args.prime,
-        "prime_index": prime_index,
-        "floor": spec.floor.describe(),
-        "cap": exp.cap,
-    }
-    if gen is not None:
-        inputs["prime_gen"] = args.prime_gen
-        inputs["gamma"] = coords_str(gen) if args.floor == "representative" else None
-    report = _base_report("expand", args, inputs)
     report["outputs"] = {
         "status": list(exp.status),
         "partial_quotients": [coords_str(q) for q in exp.partial_quotients],
         "steps": steps,
     }
-    report["warnings"] = list(spec.warnings)
     lines = [
         f"expansion of [{args.alpha}] over {lf.label}, {spec.floor.describe()}: status {exp.status}",
         "quotients: " + "; ".join(coords_str(q) for q in exp.partial_quotients),
@@ -366,15 +373,14 @@ def _sample_elements(field: NumberField, count: int, rng: random.Random,
 
 def cmd_verify_floor(args) -> int:
     lf = _resolve_field(args.field, args.precision)
-    spec, _, _ = _build_type(lf, args)
+    spec, prime_index, gen = _build_type(lf, args)
     rng = random.Random(args.seed)
     samples = _sample_elements(lf.field, args.samples, rng)
     rep = cfengine.verify_floor_axioms(spec, samples, prec=args.precision)
     report = _base_report(
         "verify-floor",
         args,
-        {"field": lf.label, "prime": args.prime, "floor": spec.floor.describe(),
-         "samples": args.samples, "seed": args.seed},
+        _type_inputs(lf, args, spec, prime_index, gen, samples=args.samples, seed=args.seed),
     )
     fails = rep.failures()
     report["outputs"] = {
@@ -395,15 +401,14 @@ def cmd_verify_floor(args) -> int:
 
 def cmd_verify_type(args) -> int:
     lf = _resolve_field(args.field, args.precision)
-    spec, _, _ = _build_type(lf, args)
+    spec, prime_index, gen = _build_type(lf, args)
     rng = random.Random(args.seed)
     samples = _sample_elements(lf.field, args.samples, rng)
     rep = cfengine.verify_type_criterion(spec, samples, prec=args.precision, cap=args.cap)
     report = _base_report(
         "verify-type",
         args,
-        {"field": lf.label, "prime": args.prime, "floor": spec.floor.describe(),
-         "samples": args.samples, "seed": args.seed},
+        _type_inputs(lf, args, spec, prime_index, gen, samples=args.samples, seed=args.seed),
     )
     statuses = [e.status[0] for e in rep.expansions]
     report["outputs"] = {

@@ -302,11 +302,6 @@ class NFElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coords[0]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
@@ -362,9 +357,6 @@ class NFElement:
         if self.is_rational():
             return ComplexInterval.exact(self.coords[0])
         return eval_poly_interval(list(self.coords), root, prec)
-
-    def all_embeddings(self, prec: int = DEFAULT_PREC) -> list[ComplexInterval]:
-        return [self.embed(i, prec) for i in range(self.field.degree)]
 
     def __repr__(self) -> str:
         return f"NFElement({[str(c) for c in self.coords]})"

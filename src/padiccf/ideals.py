@@ -221,18 +221,6 @@ def principal_ideal(x: NFElement) -> FractionalIdeal:
     return FractionalIdeal.from_rows(field, rows)
 
 
-def ideal_from_generators(field: NumberField, gens: list[NFElement]) -> FractionalIdeal:
-    result = None
-    for g in gens:
-        if g.is_zero():
-            continue
-        ideal = principal_ideal(g)
-        result = ideal if result is None else result.add(ideal)
-    if result is None:
-        raise ValueError("no nonzero generators")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # primes above p
 
@@ -254,10 +242,6 @@ class PrimeIdealData:
     @property
     def norm(self) -> int:
         return self.p ** self.f
-
-    @property
-    def local_degree(self) -> int:
-        return self.e * self.f
 
     def power(self, k: int) -> FractionalIdeal:
         if k == 0:
@@ -363,17 +347,6 @@ def valuation(x: NFElement, P: PrimeIdealData) -> int:
     while P.power(k + 1).contains(y):
         k += 1
     return v + k
-
-
-def valuation_of_int(n: int, P: PrimeIdealData) -> int:
-    if n == 0:
-        raise ZeroValuation("v_P(0) = +infinity")
-    v = 0
-    n = abs(n)
-    while n % P.p == 0:
-        n //= P.p
-        v += 1
-    return v * P.e
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,17 @@ Rat = Union[int, Fraction]
 DEFAULT_PREC = 128
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def round_down(x: Fraction, prec: int) -> Fraction:
     """Largest multiple of 2^-prec that is <= x."""
-    return Fraction(_floor_div(x.numerator << prec, x.denominator), 1 << prec)
-
-
-def round_up(x: Fraction, prec: int) -> Fraction:
-    return -round_down(-x, prec)
+    return Fraction((x.numerator << prec) // x.denominator, 1 << prec)
 
 
 def _log2_floor(x: Fraction) -> int:
     """floor(log2(x)) for x > 0."""
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    while Fraction(2) ** e > x:
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()  # x lies in (2^(e-1), 2^(e+1))
+    if (d << e if e >= 0 else d) > (n if e >= 0 else n << -e):
         e -= 1
-    while Fraction(2) ** (e + 1) <= x:
-        e += 1
     return e
 
 
@@ -63,8 +54,8 @@ class RealInterval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Rat, hi: Rat | None = None):
-        lo = Fraction(lo)
-        hi = lo if hi is None else Fraction(hi)
+        lo = lo if isinstance(lo, Fraction) else Fraction(lo)
+        hi = lo if hi is None else hi if isinstance(hi, Fraction) else Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
         self.lo = lo
@@ -89,9 +80,6 @@ class RealInterval:
         q = Fraction(q)
         return self.lo <= q <= self.hi
 
-    def contains_interval(self, other: "RealInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def straddles_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
@@ -99,10 +87,6 @@ class RealInterval:
     def certainly_lt(self, other: "RealInterval | Rat") -> bool:
         o = other if isinstance(other, RealInterval) else RealInterval.exact(other)
         return self.hi < o.lo
-
-    def certainly_le(self, other: "RealInterval | Rat") -> bool:
-        o = other if isinstance(other, RealInterval) else RealInterval.exact(other)
-        return self.hi <= o.lo
 
     def certainly_gt(self, other: "RealInterval | Rat") -> bool:
         o = other if isinstance(other, RealInterval) else RealInterval.exact(other)
@@ -407,11 +391,7 @@ def exp_interval(x: "RealInterval | Rat", prec: int = DEFAULT_PREC) -> RealInter
 
 
 class ComplexInterval:
-    """Axis-aligned rectangle re x im enclosing a complex value.
-
-    The spec-level contract is midpoint/radius; both views are exposed
-    (`midpoint` and `radius`), the rectangle being the working representation.
-    """
+    """Axis-aligned rectangle re x im enclosing a complex value."""
 
     __slots__ = ("re", "im")
 
@@ -423,14 +403,8 @@ class ComplexInterval:
     def exact(re: Rat, im: Rat = 0) -> "ComplexInterval":
         return ComplexInterval(RealInterval.exact(re), RealInterval.exact(im))
 
-    def is_real_exact(self) -> bool:
-        return self.im.is_exact() and self.im.lo == 0
-
     def midpoint(self) -> tuple[Fraction, Fraction]:
         return (self.re.midpoint(), self.im.midpoint())
-
-    def radius(self) -> Fraction:
-        return max(self.re.width(), self.im.width()) / 2 * 2  # sup-norm box radius
 
     def conjugate(self) -> "ComplexInterval":
         return ComplexInterval(self.re, -self.im)
@@ -472,7 +446,15 @@ class ComplexInterval:
 
 
 def eval_poly_interval(coeffs: list[Fraction], z: ComplexInterval, prec: int) -> ComplexInterval:
-    """Horner evaluation of an exact-rational polynomial on a rectangle."""
+    """Horner evaluation of an exact-rational polynomial on a rectangle.
+
+    At a real point (z.im exactly 0) every imaginary product is the exact
+    interval [0, 0], so Horner on z.re alone gives the same endpoints."""
+    if z.im.is_exact() and z.im.lo == 0:
+        real = RealInterval.exact(0)
+        for c in reversed(coeffs):
+            real = (real * z.re + c).rounded(prec + 16)
+        return ComplexInterval(real)
     acc = ComplexInterval.exact(0)
     for c in reversed(coeffs):
         acc = (acc * z + ComplexInterval.exact(c)).rounded(prec + 16)

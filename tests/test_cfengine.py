@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padiccf import cfengine as CF
 from padiccf import geometry as G
-from padiccf.errors import EvenPrime, FloorFailure, NotAdmissible, ZeroDenominator
+from padiccf.constants import compute_constants
+from padiccf.errors import EvenPrime, FloorFailure, NotAdmissible, SearchExhausted, ZeroDenominator
 from padiccf.exactnf import new_field
+from padiccf.fieldspec import load_bundled
 from padiccf.ideals import degree_one_primes_above, primes_above, valuation
 from padiccf.intervals import RealInterval
 
@@ -334,3 +337,84 @@ def test_representative_floor_negative_valuation_input(rep_type_14, k14):
     exp = CF.expand(eta, rep_type_14)
     assert exp.status[0] == "finite"
     assert CF.evaluate_cf(exp.partial_quotients) == eta
+
+
+# -- float pre-filter of the representative floor -------------------------------
+
+
+def _floor_outputs(spec, samples):
+    out = []
+    for x in samples:
+        try:
+            out.append(spec.floor.apply(x))
+        except SearchExhausted:
+            out.append("exhausted")
+    return out
+
+
+def test_float_filter_keeps_floor_outputs(monkeypatch, k14, units14):
+    """The filter drops only candidates that exact certification rejects, so
+    every floor value (and every exhausted search) matches the unfiltered
+    search: at both primes above 48953, at P = (3+sqrt14) over 5 where no
+    pair exists, and at table1 row 3 including step-1 complete quotients."""
+    rng = random.Random(2718)
+    cases = []
+    for prime in primes_above(k14, 48953):
+        spec = CF.make_representative_type(k14, prime, units14)
+        cases.append((spec, [k14.element([F(rng.randint(-60, 60), rng.randint(1, 30))
+                                          for _ in range(2)]) for _ in range(5)]))
+    small = primes_above(k14, 5)[1]
+    spec = CF.make_representative_type(k14, small, units14, gamma=k14.element([3, 1]))
+    cases.append((spec, [k14.from_rational(2)]))
+    row = load_bundled("table1/row3.json")
+    c_mk = compute_constants(row.field, row.units).c_MK.hi
+    prime = degree_one_primes_above(row.field, math.ceil(c_mk), 1)[0]
+    spec = CF.make_representative_type(row.field, prime, row.units)
+    samples = []
+    for _ in range(3):
+        x = row.field.element([F(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(3)])
+        diff = x - spec.floor.apply(x)
+        samples += [x] if diff.is_zero() else [x, diff.inverse()]
+    cases.append((spec, samples))
+
+    filtered = [_floor_outputs(spec, samples) for spec, samples in cases]
+    assert filtered[2] == ["exhausted"]
+    monkeypatch.setattr(CF.RepresentativeFloor, "_float_rejects", lambda self, *args: None)
+    assert [_floor_outputs(spec, samples) for spec, samples in cases] == filtered
+
+
+def _places_floor(field, p):
+    floor = CF.RepresentativeFloor(primes_above(field, p)[0], field.one(), 2, RealInterval.exact(1))
+    floor._babai_data()
+    return floor
+
+
+@pytest.fixture(scope="module")
+def filter_floors(k14):
+    # a totally real field and one with a complex place (z^3 + z + 1)
+    return [_places_floor(k14, 48953), _places_floor(new_field([1, 1, 0, 1]), 47)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    den=st.integers(1, 10 ** 12),
+    nums=st.lists(st.integers(-3 * 10 ** 12, 3 * 10 ** 12), min_size=3, max_size=3),
+    slack=st.integers(1, 60),
+)
+def test_float_filter_never_rejects_certified_candidates(filter_floors, which, den, nums, slack):
+    floor = filter_floors[which]
+    field = floor.prime.field
+    d = field.degree
+    nums, dens = nums[:d], [den] * d
+    assume(any(nums))
+    u = field.from_integral_coords([F(n, den) for n in nums])
+    mags = [u.embed(i).abs_sq() for i in range(d)]
+    # epsilon^2 just above every certified |sigma(u)|^2: exact certification accepts u
+    eps_sq = RealInterval.exact(max(m.hi for m in mags) * (1 + F(1, 2 ** slack)))
+    assert max(m.hi for m in mags) < eps_sq.lo
+    assert floor._float_rejects(nums, dens, float(eps_sq.hi) * (1 + 2.0 ** -40)) is None
+    # epsilon^2 a little below some certified |sigma(u)|^2: floats reject u
+    low = max(m.lo for m in mags) * (1 - F(1, 2 ** 20))
+    if low > 0:
+        assert floor._float_rejects(nums, dens, float(low)) is not None

@@ -182,7 +182,7 @@ Q14_LARGE = ["expand", "qsqrt14", "--prime", "48953", "--alpha", "1/3,2/7",
 PRIME1_QUOTIENTS = ["-59/10,3/10", "7854/48953,18/48953"]
 
 
-def _expand_report(capsys, argv, code=0):
+def _json_report(capsys, argv, code=0):
     assert main(argv) == code
     return json.loads(capsys.readouterr().out)
 
@@ -193,10 +193,16 @@ def test_prime_gen_selection(capsys):
     # max|sigma(j*xi - tau)| >= sqrt14/5 > epsilon = 14^(-1/4): no pair exists.
     assert main(["expand", "qsqrt14", "--prime", "5", "--prime-gen", "3,1",
                  "--alpha", "2", "--floor", "representative", "--json"]) == 3
-    assert "search exhausted" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "search exhausted" in captured.err
+    # under --json the error object keeps the inputs and the warning that explains it
+    error = json.loads(captured.out)
+    assert error["error"].startswith("search exhausted: ")
+    assert error["inputs"]["prime_gen"] == "3,1"
+    assert any("N(P) = 5 is not above c(M,K)" in w for w in error["warnings"])
     # 48953 splits as (263+38sqrt14)(263-38sqrt14); the second generator picks
     # prime index 1, and 1/3,2/7 tells the two primes apart.
-    rep = _expand_report(capsys, Q14_LARGE + ["--prime-gen=263,-38"])
+    rep = _json_report(capsys, Q14_LARGE + ["--prime-gen=263,-38"])
     assert rep["outputs"]["status"][0] == "finite"
     assert rep["outputs"]["roundtrip_exact"] is True
     assert rep["warnings"] == []
@@ -204,8 +210,8 @@ def test_prime_gen_selection(capsys):
     assert rep["inputs"]["prime_gen"] == rep["inputs"]["gamma"] == "263,-38"
     quotients = rep["outputs"]["partial_quotients"]
     assert quotients == PRIME1_QUOTIENTS
-    index1 = _expand_report(capsys, Q14_LARGE + ["--prime-index", "1"])
-    index0 = _expand_report(capsys, Q14_LARGE + ["--prime-index", "0"])
+    index1 = _json_report(capsys, Q14_LARGE + ["--prime-index", "1"])
+    index0 = _json_report(capsys, Q14_LARGE + ["--prime-index", "0"])
     assert quotients == index1["outputs"]["partial_quotients"]
     assert quotients != index0["outputs"]["partial_quotients"]
     assert "prime_gen" not in index1["inputs"] and "gamma" not in index1["inputs"]
@@ -221,7 +227,7 @@ def test_prime_gen_rejects_non_generators(capsys):
 
 def test_prime_gen_is_the_floor_gamma(capsys):
     # (263-38sqrt14)(15+4sqrt14): a unit multiple of the generator of prime 1
-    rep = _expand_report(capsys, Q14_LARGE + ["--prime-gen", "1817,482"])
+    rep = _json_report(capsys, Q14_LARGE + ["--prime-gen", "1817,482"])
     assert rep["outputs"]["roundtrip_exact"] is True
     lf = load_bundled("qsqrt14.json")
     field = lf.field
@@ -234,3 +240,16 @@ def test_prime_gen_is_the_floor_gamma(capsys):
     # the floor's own choice of gamma, 263-38sqrt14, gives a different expansion
     assert rep["outputs"]["partial_quotients"] != PRIME1_QUOTIENTS
 
+
+
+def test_verify_reports_record_the_prime(capsys):
+    verify_floor = ["verify-floor", "qsqrt14", "--prime", "48953", "--floor", "representative",
+                    "--samples", "2", "--json"]
+    index0 = _json_report(capsys, verify_floor + ["--prime-index", "0"])["inputs"]
+    index1 = _json_report(capsys, verify_floor + ["--prime-index", "1"])["inputs"]
+    assert index0 != index1
+    assert (index0["prime_index"], index1["prime_index"]) == (0, 1)
+    rep = _json_report(capsys, ["verify-type", "qsqrt14", "--prime", "48953", "--floor",
+                                "representative", "--samples", "1", "--prime-gen=263,-38", "--json"])
+    assert rep["inputs"]["prime_index"] == 1
+    assert rep["inputs"]["prime_gen"] == rep["inputs"]["gamma"] == "263,-38"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from padiccf.intervals import (
     ComplexInterval,
     RealInterval,
+    eval_poly_interval,
     exp_interval,
     log_interval,
     ln2_interval,
@@ -118,3 +119,25 @@ def test_rounded_is_outward():
     tiny = RealInterval(Fraction(3, 10 ** 40), Fraction(4, 10 ** 40))
     rt = tiny.rounded(64)
     assert rt.lo > 0  # relative rounding never flushes to zero
+
+
+def _complex_horner(coeffs, z, prec):
+    acc = ComplexInterval.exact(0)
+    for c in reversed(coeffs):
+        acc = (acc * z + ComplexInterval.exact(c)).rounded(prec + 16)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(rationals, min_size=1, max_size=6),
+    lo=rationals,
+    width=st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40),
+    prec=st.sampled_from([32, 64, 128]),
+)
+def test_eval_poly_real_point_matches_complex_horner(coeffs, lo, width, prec):
+    z = ComplexInterval(RealInterval(lo, lo + width))
+    fast = eval_poly_interval(coeffs, z, prec)
+    ref = _complex_horner(coeffs, z, prec)
+    assert (fast.re.lo, fast.re.hi, fast.im.lo, fast.im.hi) == (
+        ref.re.lo, ref.re.hi, ref.im.lo, ref.im.hi)
