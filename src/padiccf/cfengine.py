@@ -73,6 +73,19 @@ class BrowkinFloor:
         return f"browkin(p={self.p})"
 
 
+def _horner_width(coeffs, z, prec: int) -> Fraction:
+    """Bound on the width of either part of eval_poly_interval(coeffs, z, prec),
+    linear in |coeffs|: each step widens a size-m, width-w value by at most
+    2(w|z| + m w_z), and rounding moves each endpoint by 2^-(prec+16) of its size."""
+    zm = max(abs(a) for a in (z.re.lo, z.re.hi, z.im.lo, z.im.hi))
+    zw, ulp = max(z.re.width(), z.im.width()), Fraction(1, 2 ** (prec + 16))
+    m = w = Fraction(0)
+    for c in reversed(coeffs):
+        m, w = 2 * m * zm + abs(c), 2 * (w * zm + m * zw)
+        m, w = m * (1 + ulp), w + 2 * ulp * m
+    return w
+
+
 class RepresentativeFloor:
     """Floor built from a principal generator gamma of P and the
     short-representative search: s(eta) = gamma*(xi - tau/j) where
@@ -99,75 +112,91 @@ class RepresentativeFloor:
         self._basis = [
             field.from_integral_coords([int(i == j) for j in range(d)]) for i in range(d)
         ]
+        self._gamma_inv = gamma.inverse()
         self._places = None  # float embedding data, built lazily
 
     def _babai_data(self):
         """From the certified sigma(b_k) of the integral basis: per real or
-        upper-half-plane embedding the float midpoints of Re, Im and |Re|+|Im|,
-        one radius covering half-widths and float conversion, and the inverse
-        of the Babai matrix (complex columns scaled by sqrt(2))."""
+        upper-half-plane embedding its index, whether it is real, and the float
+        midpoints of Re, Im and |Re|+|Im|; one radius covering half-widths and
+        float conversion; the inverse N of the Babai matrix B (rows
+        _float_vector(b_k)); and K, which puts the float centre _float_vector(x) @ N
+        within K * sum|c_k| of c = to_integral_coords(x) up to underflow (Higham
+        2002, secs. 3.1, 4.2): the largest entry of the residual B @ N - I, exact
+        over the floats, plus N's largest column sum times D + gamma_d (G + D),
+        where D = 3/2 (H + radius + 4u(G + H)) covers the Horner half-width H,
+        the float midpoints and the sqrt(2) scaling; G >= |sigma(b_k)|, u = 2^-53."""
         if self._places is None:
             prec = self.prec
             places = []
-            rows: list[list[float]] = [[] for _ in self._basis]
-            radius = Fraction(0)
+            radius = half = Fraction(0)
             for i, box in enumerate(self.prime.field.embeddings(prec)):
                 real = box.im.is_exact() and box.im.lo == 0
                 if not real and not box.im.lo > 0:
                     continue  # the conjugate of an upper-half-plane embedding
                 re, im = [], []
-                for k, b in enumerate(self._basis):
+                for b in self._basis:
                     e = b.embed(i, prec)
+                    half = max(half, _horner_width(b.coords, box, prec) / 2)
                     for part, mids in ((e.re, re), (e.im, im)):
                         mid = part.midpoint()
                         mids.append(float(mid))
                         radius = max(radius, part.width() / 2 + abs(Fraction(mids[-1]) - mid))
-                    if real:
-                        rows[k].append(re[-1])
-                    else:
-                        rows[k].extend((re[-1] * 2 ** 0.5, im[-1] * 2 ** 0.5))
-                places.append((re, im, [abs(a) + abs(b) for a, b in zip(re, im)]))
-            mat = np.array(rows, dtype=float)
+                places.append((i, real, re, im, [abs(a) + abs(b) for a, b in zip(re, im)]))
             self._places = places
             self._radius = float(radius)
+            mat = np.array([self._float_vector(b) for b in self._basis])
             self._mat_inv = np.linalg.inv(mat)
-        return self._mat_inv
+            B, N = ([[Fraction(a) for a in r] for r in m.tolist()] for m in (mat, self._mat_inv))
+            d, u = len(B), Fraction(1, 2 ** 53)
+            resid = max(abs(sum(B[r][i] * N[i][k] for i in range(d)) - (r == k))
+                        for r in range(d) for k in range(d))
+            g = max(abs(a) for row in B for a in row) + radius
+            dv = Fraction(3, 2) * (half + radius + 4 * u * (g + half))
+            col = max(sum(abs(row[k]) for row in N) for k in range(d))
+            self._center_k = resid + col * (dv + d * u / (1 - d * u) * (g + dv))
 
     def _float_vector(self, x: NFElement) -> "np.ndarray":
-        field = self.prime.field
-        boxes = field.embeddings(self.prec)
         vec: list[float] = []
-        for i, box in enumerate(boxes):
+        for i, real, *_ in self._places:
             e = x.embed(i, self.prec)
-            if box.im.is_exact() and box.im.lo == 0:
+            if real:
                 vec.append(float(e.re.midpoint()))
-            elif box.im.lo > 0:
-                vec.extend(
-                    (float(e.re.midpoint()) * 2 ** 0.5, float(e.im.midpoint()) * 2 ** 0.5)
-                )
+            else:
+                vec.extend((float(e.re.midpoint()) * 2 ** 0.5, float(e.im.midpoint()) * 2 ** 0.5))
         return np.array(vec, dtype=float)
+
+    def _center(self, x: NFElement, coords) -> list[int]:
+        """round(c), c = to_integral_coords(x), when every c_k = n/q is farther
+        from Z + 1/2, |2(n mod q) - q| / 2q, than the float centre can be from c
+        (K * sum|c_k| + 2^-1000, see _babai_data); else the float centre itself."""
+        bound = self._center_k * sum(abs(c) for c in coords) + Fraction(1, 2 ** 1000)
+        if all(abs(2 * (c.numerator % c.denominator) - c.denominator) > 2 * c.denominator * bound
+               for c in coords):
+            return [round(c) for c in coords]
+        # numpy < 2 rounds to floats
+        return [int(round(c)) for c in self._float_vector(x) @ self._mat_inv]
 
     def apply(self, eta: NFElement, prec: int | None = None) -> NFElement:
         prec = prec or self.prec
         field = self.prime.field
-        if eta.is_zero() or valuation(eta, self.prime) >= 1:
-            return field.zero()
         alpha_prime = canonical_lift(eta, self.prime, self.gamma)
-        xi = alpha_prime / self.gamma
+        if alpha_prime.is_zero():  # eta = 0 or v_P(eta) >= 1
+            return field.zero()
+        xi = alpha_prime * self._gamma_inv
         eps_sq = self.epsilon.square()
         eps_hi = float(eps_sq.hi) * (1 + 2.0 ** -40)
         d = field.degree
-        mat_inv = self._babai_data()
+        self._babai_data()
         best_margin = None
         for j in range(1, self.M):
             if j % self.prime.p == 0:
                 continue  # j in P would break the coset condition
             jxi = xi * j
-            coeffs = self._float_vector(jxi) @ mat_inv
-            center = [int(round(c)) for c in coeffs]  # numpy < 2 rounds to floats
             # u = j*xi - tau for tau = sum_k (center_k + offset_k) b_k has
             # integral-basis coordinates (nums_k - offset_k * dens_k) / dens_k
             coords = field.to_integral_coords(jxi)
+            center = self._center(jxi, coords)
             dens = [c.denominator for c in coords]
             nums = [c.numerator - m * q for c, m, q in zip(coords, center, dens)]
             for radius in (0, 1, 2):
@@ -204,7 +233,7 @@ class RepresentativeFloor:
             return None
         size = sum(abs(a) for a in xf)
         rel = (2 * len(xf) + 4) * 2.0 ** -53
-        for re, im, mag in self._places:
+        for _, _, re, im, mag in self._places:
             s_re = s_im = scale = 0.0
             for a, r, i, m in zip(xf, re, im, mag):
                 s_re += a * r

@@ -113,9 +113,6 @@ class RealInterval:
         o = other if isinstance(other, RealInterval) else RealInterval.exact(other)
         return RealInterval(self.lo - o.hi, self.hi - o.lo)
 
-    def __rsub__(self, other: Rat) -> "RealInterval":
-        return RealInterval.exact(other) - self
-
     def __mul__(self, other: "RealInterval | Rat") -> "RealInterval":
         o = other if isinstance(other, RealInterval) else RealInterval.exact(other)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
@@ -131,9 +128,6 @@ class RealInterval:
     def __truediv__(self, other: "RealInterval | Rat") -> "RealInterval":
         o = other if isinstance(other, RealInterval) else RealInterval.exact(other)
         return self * o.inverse()
-
-    def __rtruediv__(self, other: Rat) -> "RealInterval":
-        return RealInterval.exact(other) * self.inverse()
 
     def abs(self) -> "RealInterval":
         if self.lo >= 0:
@@ -163,9 +157,6 @@ class RealInterval:
     def max_with(self, other: "RealInterval | Rat") -> "RealInterval":
         o = other if isinstance(other, RealInterval) else RealInterval.exact(other)
         return RealInterval(max(self.lo, o.lo), max(self.hi, o.hi))
-
-    def union(self, other: "RealInterval") -> "RealInterval":
-        return RealInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def rounded(self, prec: int) -> "RealInterval":
         """Outward-round endpoints keeping ~prec significant bits.
@@ -403,9 +394,6 @@ class ComplexInterval:
     def exact(re: Rat, im: Rat = 0) -> "ComplexInterval":
         return ComplexInterval(RealInterval.exact(re), RealInterval.exact(im))
 
-    def midpoint(self) -> tuple[Fraction, Fraction]:
-        return (self.re.midpoint(), self.im.midpoint())
-
     def conjugate(self) -> "ComplexInterval":
         return ComplexInterval(self.re, -self.im)
 
@@ -414,13 +402,6 @@ class ComplexInterval:
         return ComplexInterval(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "ComplexInterval":
-        return ComplexInterval(-self.re, -self.im)
-
-    def __sub__(self, other: "ComplexInterval | Rat") -> "ComplexInterval":
-        o = other if isinstance(other, ComplexInterval) else ComplexInterval.exact(other)
-        return ComplexInterval(self.re - o.re, self.im - o.im)
 
     def __mul__(self, other: "ComplexInterval | Rat") -> "ComplexInterval":
         if isinstance(other, (int, Fraction)):

@@ -252,10 +252,6 @@ class _QI:
     def abs_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def inv(self) -> "_QI":
-        n = self.abs_sq()
-        return _QI(self.re / n, -self.im / n)
-
 
 def _mpf_to_fraction(x) -> Fraction:
     # read mantissa/exponent directly: mpmath.mpf(x) would round to the

@@ -383,16 +383,26 @@ def test_float_filter_keeps_floor_outputs(monkeypatch, k14, units14):
     assert [_floor_outputs(spec, samples) for spec, samples in cases] == filtered
 
 
-def _places_floor(field, p):
+def _places_floor(field, p, inverse=None):
     floor = CF.RepresentativeFloor(primes_above(field, p)[0], field.one(), 2, RealInterval.exact(1))
-    floor._babai_data()
+    with pytest.MonkeyPatch.context() as mp:
+        if inverse is not None:
+            mp.setattr(CF.np.linalg, "inv", inverse)
+        floor._babai_data()
     return floor
 
 
 @pytest.fixture(scope="module")
-def filter_floors(k14):
-    # a totally real field and one with a complex place (z^3 + z + 1)
-    return [_places_floor(k14, 48953), _places_floor(new_field([1, 1, 0, 1]), 47)]
+def place_floors(k14):
+    # a totally real field, one with a complex place (z^3 + z + 1), table1
+    # row 5 (quartic, signature (2, 1)), and Q(sqrt14) with the Babai inverse
+    # rounded to multiples of 2^-16, whose residual B @ N - I dominates the
+    # float centre's error
+    inv = CF.np.linalg.inv
+    coarse = lambda m: CF.np.round(inv(m) * 2 ** 16) / 2 ** 16  # noqa: E731
+    return [_places_floor(k14, 48953), _places_floor(new_field([1, 1, 0, 1]), 47),
+            _places_floor(load_bundled("table1/row5.json").field, 47),
+            _places_floor(k14, 48953, inverse=coarse)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,8 +412,8 @@ def filter_floors(k14):
     nums=st.lists(st.integers(-3 * 10 ** 12, 3 * 10 ** 12), min_size=3, max_size=3),
     slack=st.integers(1, 60),
 )
-def test_float_filter_never_rejects_certified_candidates(filter_floors, which, den, nums, slack):
-    floor = filter_floors[which]
+def test_float_filter_never_rejects_certified_candidates(place_floors, which, den, nums, slack):
+    floor = place_floors[which]
     field = floor.prime.field
     d = field.degree
     nums, dens = nums[:d], [den] * d
@@ -418,3 +428,54 @@ def test_float_filter_never_rejects_certified_candidates(filter_floors, which, d
     low = max(m.lo for m in mags) * (1 - F(1, 2 ** 20))
     if low > 0:
         assert floor._float_rejects(nums, dens, float(low)) is not None
+
+
+# -- exact Babai centre of the representative floor ----------------------------------
+
+
+_coordinate = st.one_of(
+    st.builds(F, st.integers(-10 ** 15, 10 ** 15), st.integers(1, 10 ** 6)),
+    st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 5)),
+    st.builds(F, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 6)),
+    # within 2^-40 of a half-integer, where the float centre may round the other way
+    st.builds(lambda m, t: F(2 * m + 1, 2) + F(t, 2 ** 60),
+              st.integers(-300, 300), st.integers(-2 ** 20, 2 ** 20)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 3), coords=st.lists(_coordinate, min_size=4, max_size=4))
+def test_exact_centre_equals_float_centre(place_floors, which, coords):
+    """The float centre is within K * sum|c| (+ 2^-1000) of the exact
+    coordinates c, and _center, exact where every c_k is farther than that
+    from Z + 1/2, equals the float centre on every input."""
+    floor = place_floors[which]
+    field = floor.prime.field
+    coords = coords[: field.degree]
+    assume(any(coords))
+    x = field.from_integral_coords(coords)
+    floats = floor._float_vector(x) @ floor._mat_inv
+    bound = floor._center_k * sum(abs(c) for c in coords) + F(1, 2 ** 1000)
+    assert all(abs(F(a) - c) <= bound for a, c in zip(floats, coords))
+    assert floor._center(x, list(coords)) == [int(round(a)) for a in floats]
+
+
+def test_centre_falls_back_on_huge_coordinates(monkeypatch):
+    """Table1 row 6's step-1 complete quotient (the sweep's row-6 input at
+    the first prime above c(M,K)): xi's coordinates are about 1.2e17, beyond
+    the proof, so every j takes the float centre, and the search ends
+    exhausted with the margin the float-centre search always gave."""
+    row = load_bundled("table1/row6.json")
+    prime = degree_one_primes_above(row.field, 1063633253940, 1)[0]
+    assert prime.p == 1063633253941
+    spec = CF.make_representative_type(row.field, prime, row.units)
+    x = row.field.element([F(n, 663293397123400951) for n in (
+        2535978778998770, -967544141386200, 833487107294800, -911104628567350)])
+    spec.floor._babai_data()
+    float_centres = []
+    float_vector = CF.RepresentativeFloor._float_vector
+    monkeypatch.setattr(CF.RepresentativeFloor, "_float_vector",
+                        lambda self, y: float_centres.append(y) or float_vector(self, y))
+    with pytest.raises(SearchExhausted, match=r"best squared margin 0\.004990974896340483\)"):
+        spec.floor.apply(x)
+    assert spec.floor.M == 22 and len(float_centres) == 21

@@ -160,6 +160,21 @@ def test_canonical_residue_rejects_bad_denominator(k14, p5_split):
         I.canonical_residue(k14.element([F(1, 5), 0]), p5_split.as_ideal)
 
 
+# -- residue fields ------------------------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ResidueField.inv runs Euclid modulo factor_poly + [1], a polynomial "
+                          "one degree too high, so inverses in O_K/P are wrong for f > 1")
+def test_residue_field_inverse_at_inert_prime(k14):
+    # 37 is inert in Q(sqrt14): O_K/(37) = F_37[t]/(t^2 + 23), and sqrt14 maps to t
+    rf = I.ResidueField(I.primes_above(k14, 37)[0])
+    if rf.f != 2:
+        pytest.fail("37 should be inert in Q(sqrt14)")  # not an AssertionError: never xfails
+    a = rf.reduce(k14.generator())
+    assert rf.mul(a, rf.inv(a)) == rf.one()
+
+
 # -- canonical lifts -----------------------------------------------------------------
 
 
