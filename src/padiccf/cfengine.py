@@ -11,9 +11,6 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import numpy as np
-import sympy
-
 from .constants import c_alpha, c_MK, choose_M, epsilon_for
 from .errors import (
     EvenPrime,
@@ -26,6 +23,8 @@ from .exactnf import NFElement, NumberField, denominator_ideal_norm, weil_height
 from .ideals import (
     PrimeIdealData,
     canonical_lift,
+    is_prime,
+    prime_divisors,
     primes_above,
     principal_generator,
     valuation,
@@ -46,7 +45,7 @@ class BrowkinFloor:
     def __init__(self, p: int):
         if p == 2:
             raise EvenPrime("the centered digit set needs an odd prime")
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -127,6 +126,8 @@ class RepresentativeFloor:
         where D = 3/2 (H + radius + 4u(G + H)) covers the Horner half-width H,
         the float midpoints and the sqrt(2) scaling; G >= |sigma(b_k)|, u = 2^-53."""
         if self._places is None:
+            import numpy as np
+
             prec = self.prec
             places = []
             radius = half = Fraction(0)
@@ -157,6 +158,8 @@ class RepresentativeFloor:
             self._center_k = resid + col * (dv + d * u / (1 - d * u) * (g + dv))
 
     def _float_vector(self, x: NFElement) -> "np.ndarray":
+        import numpy as np
+
         vec: list[float] = []
         for i, real, *_ in self._places:
             e = x.embed(i, self.prec)
@@ -590,8 +593,8 @@ def _some_denominator_clears(s: NFElement, spec: TypeSpec) -> bool:
         if b == 1:
             return True
         ok = True
-        for p in sympy.factorint(b):
-            for q in primes_above(spec.field, int(p)):
+        for p in prime_divisors(b):
+            for q in primes_above(spec.field, p):
                 if q == spec.prime:
                     continue
                 if valuation(x, q) < 0:

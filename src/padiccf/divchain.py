@@ -12,15 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-import sympy
-
 from .cfengine import evaluate_cf
 from .errors import MissingClassData, NotCoprime, SearchExhausted, ZeroDenominator
 from .exactnf import NFElement
 from .ideals import (
     PrimeIdealData,
     SIntegerRing,
+    prime_divisors,
     primes_above,
     principal_ideal,
     valuation,
@@ -192,6 +190,8 @@ def _babai_round(x: NFElement, prec: int = 128) -> NFElement:
     if d == 1:
         q = x.coords[0]
         return field.from_rational((q + Fraction(1, 2)).__floor__())
+    import numpy as np
+
     boxes = field.embeddings(prec)
     basis = [field.from_integral_coords([int(i == j) for j in range(d)]) for i in range(d)]
 
@@ -222,8 +222,8 @@ def _support_within_s(x: NFElement, ring: SIntegerRing) -> bool:
     nrm = x.norm()
     s_primes = {(q.p, q.factor_poly) for q in ring.S}
     for n in (abs(nrm.numerator), nrm.denominator):
-        for p in sympy.factorint(int(n)):
-            for q in primes_above(ring.field, int(p)):
+        for p in prime_divisors(n):
+            for q in primes_above(ring.field, p):
                 if (q.p, q.factor_poly) not in s_primes and valuation(x, q) != 0:
                     return False
     return True
@@ -246,8 +246,8 @@ def _coprime_in_os(a: NFElement, b: NFElement, ring: SIntegerRing) -> bool:
     nrm = gcd_ideal.norm()
     s_primes = {(q.p, q.factor_poly) for q in ring.S}
     for n in (abs(nrm.numerator), nrm.denominator):
-        for p in sympy.factorint(int(n)):
-            for q in primes_above(ring.field, int(p)):
+        for p in prime_divisors(n):
+            for q in primes_above(ring.field, p):
                 if (q.p, q.factor_poly) in s_primes:
                     continue
                 if _ideal_valuation(gcd_ideal, q) > 0:
@@ -260,11 +260,10 @@ def _prime_ideal_of(x: NFElement) -> PrimeIdealData | None:
     nrm = int(abs(x.norm()))
     if nrm <= 1:
         return None
-    factors = sympy.factorint(nrm)
-    if len(factors) != 1:
+    primes = prime_divisors(nrm)
+    if len(primes) != 1:
         return None
-    (l, f_exp), = factors.items()
-    for q in primes_above(x.field, int(l)):
+    for q in primes_above(x.field, primes[0]):
         if q.norm == nrm and valuation(x, q) == 1:
             ideal = principal_ideal(x)
             if ideal == q.as_ideal:

@@ -13,11 +13,9 @@ import threading
 from fractions import Fraction
 from math import lcm
 
-import sympy
-
 from .errors import DiscMismatch, DivideByZero, NotIrreducible
 from .intervals import ComplexInterval, RealInterval, eval_poly_interval
-from .rootfinding import certified_roots, count_real_roots, poly_disc, poly_trim, poly_xgcd
+from .rootfinding import certified_roots, count_real_roots, is_irreducible, poly_disc, poly_trim, poly_xgcd
 
 DEFAULT_PREC = 128
 
@@ -76,15 +74,13 @@ class NumberField:
             raise NotIrreducible(f"degree {d} outside supported range 1..8")
         if coeffs[-1] != 1:
             raise NotIrreducible("minimal polynomial must be monic")
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed(coeffs)), x)
-        if d > 1 and not poly.is_irreducible:
-            raise NotIrreducible(f"{poly.as_expr()} is reducible over Q")
+        disc_poly = poly_disc([Fraction(c) for c in coeffs])
+        assert disc_poly.denominator == 1
+        if d > 1 and (disc_poly == 0 or not is_irreducible(coeffs)):
+            raise NotIrreducible(f"min_poly {coeffs} (constant term first) is reducible over Q")
 
         self.min_poly: tuple[int, ...] = tuple(coeffs)
         self.degree = d
-        disc_poly = poly_disc([Fraction(c) for c in coeffs])
-        assert disc_poly.denominator == 1
         self._min_poly_disc = int(disc_poly)
 
         if integral_basis is None:
@@ -135,7 +131,7 @@ class NumberField:
 
         self._embedding_cache: dict[int, list[ComplexInterval]] = {}
         self._cache_lock = threading.Lock()
-        self._prime_cache: dict = {}
+        self._prime_cache: dict = {}  # primes_above and geometry.log_lattice results
 
     # -- basic constructors ---------------------------------------------------
 

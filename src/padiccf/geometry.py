@@ -124,7 +124,12 @@ def _interval_det(mat: list[list[RealInterval]]) -> RealInterval:
 
 
 def log_lattice(field: NumberField, units: UnitSystem, prec: int = 128) -> LogLattice:
-    """Validated log-unit lattice with covering-radius bound and T0."""
+    """Validated log-unit lattice with covering-radius bound and T0, computed
+    once per (units, prec) and kept in the field's per-field cache."""
+    cache_key = ("log_lattice", units, prec)
+    cached = field._prime_cache.get(cache_key)
+    if cached is not None:
+        return cached
     r1, r2 = field.signature
     expected_rank = r1 + r2 - 1
     for u in units.units:
@@ -144,11 +149,13 @@ def log_lattice(field: NumberField, units: UnitSystem, prec: int = 128) -> LogLa
         pass
     rho = covering_radius_upper(basis, prec) if basis else RealInterval.exact(0)
     t0_iv = t0_from_rho(rho, prec)
-    return LogLattice(
+    lattice = LogLattice(
         basis=tuple(tuple(v) for v in basis),
         covering_radius_upper=rho,
         t0=t0_iv,
     )
+    field._prime_cache[cache_key] = lattice
+    return lattice
 
 
 def t0_from_rho(rho: RealInterval, prec: int = 128) -> RealInterval:

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
-
-import sympy
+from math import gcd, isqrt, lcm
 
 from .errors import (
     IndexDivisor,
@@ -25,6 +23,84 @@ from .errors import (
     ZeroValuation,
 )
 from .exactnf import NFElement, NumberField
+
+# ---------------------------------------------------------------------------
+# rational primes
+
+def _primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+_TRIAL_LIMIT = 1 << 12
+_TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
+# Miller-Rabin to the first 13 prime bases is deterministic below psi_13
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = _TRIAL_PRIMES[:13]
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: Miller-Rabin to the bases _MR_BASES below psi_13,
+    sympy.isprime at or above it."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _PSI_13:
+        from sympy import isprime
+
+        return bool(isprime(n))
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime above n."""
+    n = max(n + 1, 2)
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n != 0, ascending: trial division by the
+    primes below _TRIAL_LIMIT, then a cofactor that is prime (below
+    _TRIAL_LIMIT^2 or by is_prime) or that sympy.factorint splits."""
+    n = abs(n)
+    out = []
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.append(p)
+            n //= p
+            while n % p == 0:
+                n //= p
+    if n == 1:
+        return out
+    if n < _TRIAL_LIMIT ** 2 or is_prime(n):
+        return out + [n]
+    from sympy import factorint
+
+    return out + sorted(int(q) for q in factorint(n))
+
 
 # ---------------------------------------------------------------------------
 # integer HNF machinery (rows = lattice basis vectors)
@@ -274,7 +350,7 @@ class PrimeIdealData:
 
 def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
     """Dedekind-Kummer factorization of (p); requires p coprime to the index."""
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cache_key = ("primes", p)
     cached = field._prime_cache.get(cache_key)
@@ -282,16 +358,20 @@ def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
         return cached
     if field.index % p == 0:
         raise IndexDivisor(f"prime {p} divides the index [O_K : Z[alpha]] = {field.index}")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(field.min_poly)), x, modulus=p, symmetric=False)
-    _, factors = poly.factor_list()
-    entries = []
-    for fac, mult in factors:
-        coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
-        entries.append((len(coeffs) - 1, tuple(coeffs), mult))
-    entries.sort()
-    out = []
     d = field.degree
+    if d == 1:  # a linear min_poly is its own factorization mod p
+        entries = [(1, (field.min_poly[0] % p, 1), 1)]
+    else:
+        import sympy
+
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(list(reversed(field.min_poly)), x, modulus=p, symmetric=False)
+        entries = []
+        for fac, mult in poly.factor_list()[1]:
+            coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
+            entries.append((len(coeffs) - 1, tuple(coeffs), mult))
+        entries.sort()
+    out = []
     for deg, coeffs, mult in entries:
         gen2 = field.zero()
         alpha_pow = field.one()
@@ -584,13 +664,13 @@ def canonical_lift(eta: NFElement, P: PrimeIdealData, gamma: NFElement | None) -
 def _lll_reduce_rows(rows: list[list[int]], embed_rows: list[list[float]]) -> list[list[int]]:
     """Textbook float LLL on the lattice spanned by rows; exact integer ops
     on the coordinate rows, float Gram-Schmidt on the embedding image."""
-    import numpy as np
-
-    basis = np.array(embed_rows, dtype=float)
     coords = [list(r) for r in rows]
     n = len(coords)
     if n <= 1:
         return coords
+    import numpy as np
+
+    basis = np.array(embed_rows, dtype=float)
 
     def gso(b):
         bstar = b.copy()
@@ -695,7 +775,7 @@ def degree_one_primes_above(
     out: list[PrimeIdealData] = []
     p = lower_bound
     while len(out) < count:
-        p = int(sympy.nextprime(p))
+        p = next_prime(p)
         if field.index % p == 0 or field.field_disc % p == 0:
             continue
         for q in primes_above(field, p):
@@ -723,8 +803,8 @@ class SIntegerRing:
         if b == 1:
             return True
         s_primes = {(q.p, q.factor_poly) for q in self.S}
-        for p in sympy.factorint(b):
-            for q in primes_above(self.field, int(p)):
+        for p in prime_divisors(b):
+            for q in primes_above(self.field, p):
                 if (q.p, q.factor_poly) not in s_primes and valuation(x, q) < 0:
                     return False
         return True

@@ -10,9 +10,9 @@ are pairwise disjoint each contains exactly one root.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-import mpmath
+from itertools import combinations
 
 from .intervals import ComplexInterval, RealInterval, sqrt_interval
 
@@ -287,6 +287,7 @@ def certified_roots(int_coeffs: list[int], prec: int) -> list[ComplexInterval]:
     ]
     if r2 == 0:
         return real_boxes
+    import mpmath
 
     dps = max(30, int((prec + 64) * 0.3103) + 20)
     for attempt in range(6):
@@ -345,3 +346,46 @@ def _weierstrass_boxes(coeffs: list[Fraction], zs: list[_QI], d: int, prec: int)
     # via Sturm); genuinely complex roots must certify off-axis, which the
     # caller checks by counting boxes with im.lo > 0
     return boxes
+
+
+# ---------------------------------------------------------------------------
+# irreducibility over Q
+
+
+def is_irreducible(int_coeffs: list[int]) -> bool:
+    """Whether a squarefree monic integer polynomial f of degree d >= 2 is
+    irreducible over Q.
+
+    By Gauss's lemma f is reducible exactly when it has a monic integer factor
+    of degree k <= d/2, and such a factor is prod(x - r) over k of f's roots.
+    Each k-set of certified roots is multiplied out in interval arithmetic and
+    dismissed when a coefficient's real part holds no integer or its imaginary
+    part excludes 0; when every real part holds exactly one integer, exact
+    division decides.  The k-sets left undecided are tried again at twice the
+    precision; once every width is below 1, each k-set is decided.
+    """
+    coeffs = [Fraction(c) for c in int_coeffs]
+    d = poly_degree(coeffs)
+    undecided = [s for k in range(1, d // 2 + 1) for s in combinations(range(d), k)]
+    prec = 16
+    while undecided:
+        roots = certified_roots(int_coeffs, prec)
+        subsets, undecided = undecided, []
+        for subset in subsets:
+            prod = [ComplexInterval.exact(1)]
+            for i in subset:
+                neg = roots[i] * -1
+                prod = [(a + b * neg).rounded(prec + 16) for a, b in zip([0, *prod], [*prod, 0])]
+            factor = []
+            for c in prod[:-1]:
+                lo, hi = math.ceil(c.re.lo), math.floor(c.re.hi)
+                if lo > hi or c.im.lo > 0 or c.im.hi < 0:
+                    break
+                factor.append(Fraction(lo) if lo == hi else None)
+            else:
+                if None in factor:
+                    undecided.append(subset)
+                elif not any(poly_divmod(coeffs, factor + [Fraction(1)])[1]):
+                    return False
+        prec *= 2
+    return True

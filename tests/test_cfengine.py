@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -387,7 +388,7 @@ def _places_floor(field, p, inverse=None):
     floor = CF.RepresentativeFloor(primes_above(field, p)[0], field.one(), 2, RealInterval.exact(1))
     with pytest.MonkeyPatch.context() as mp:
         if inverse is not None:
-            mp.setattr(CF.np.linalg, "inv", inverse)
+            mp.setattr(np.linalg, "inv", inverse)
         floor._babai_data()
     return floor
 
@@ -398,8 +399,8 @@ def place_floors(k14):
     # row 5 (quartic, signature (2, 1)), and Q(sqrt14) with the Babai inverse
     # rounded to multiples of 2^-16, whose residual B @ N - I dominates the
     # float centre's error
-    inv = CF.np.linalg.inv
-    coarse = lambda m: CF.np.round(inv(m) * 2 ** 16) / 2 ** 16  # noqa: E731
+    inv = np.linalg.inv
+    coarse = lambda m: np.round(inv(m) * 2 ** 16) / 2 ** 16  # noqa: E731
     return [_places_floor(k14, 48953), _places_floor(new_field([1, 1, 0, 1]), 47),
             _places_floor(load_bundled("table1/row5.json").field, 47),
             _places_floor(k14, 48953, inverse=coarse)]

@@ -161,6 +161,33 @@ def test_evaluate_command(capsys):
     assert "10/7" in capsys.readouterr().out
 
 
+COLD_START = """
+import contextlib, io, sys
+heavy = ("sympy", "numpy", "mpmath")
+import padiccf.cli
+print(*[m for m in heavy if m in sys.modules])
+for argv in (["field-info", "qsqrt14"], ["constants", "qsqrt14", "--json"],
+             ["expand", "qq", "--prime", "5", "--alpha", "7/3", "--json"],
+             ["divchain", "qq", "--a", "7", "--b", "3", "--S", "5", "--json"],
+             ["evaluate", "qq", "--quotients=-1;-11/5;2/5", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert padiccf.cli.main(argv) == 0, argv
+print(*[m for m in heavy if m in sys.modules])
+"""
+
+
+def test_cold_start_imports_no_sympy_or_numpy():
+    """A fresh `import padiccf.cli` loads neither sympy, numpy nor mpmath, and
+    these commands (over Q and the totally real Q(sqrt14)) load neither sympy
+    nor numpy."""
+    proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_commands = proc.stdout.splitlines()
+    assert after_import == ""
+    assert "sympy" not in after_commands.split() and "numpy" not in after_commands.split()
+
+
 def test_input_error_exit_code():
     proc = run_cli(["constants", "no_such_field.json"])
     assert proc.returncode == 2

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padiccf.errors import DiscMismatch, DivideByZero, NotIrreducible
 from padiccf.exactnf import NumberField, denominator_ideal_norm, new_field, weil_height_pow_d
+from padiccf.rootfinding import is_irreducible, poly_disc, poly_mul
 
 F = Fraction
 
@@ -37,8 +39,42 @@ def test_new_field_errors():
         new_field([-4, 0, 1])  # x^2 - 4
     with pytest.raises(NotIrreducible):
         new_field([0, 0, 2])  # not monic
+    with pytest.raises(NotIrreducible):
+        new_field([1, 0, 2, 0, 1])  # (x^2 + 1)^2, discriminant 0
     with pytest.raises(DiscMismatch):
         new_field([-14, 0, 1], field_disc=14)
+
+
+def _times(*factors):
+    """Product of integer polynomials, constant term first."""
+    return [int(c) for c in reduce(poly_mul, [[F(c) for c in f] for f in factors])]
+
+
+def _sympy_irreducible(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).is_irreducible
+
+
+@pytest.mark.parametrize("coeffs, irreducible", [
+    ([4, 0, 0, 0, 1], False),  # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2), no rational root
+    ([1, 0, -10, 0, 1], True),  # x^4 - 10x^2 + 1, reducible mod every prime
+    (_times([1, 1, 0, 1], [-5, 3, -2, 1]), False),  # cubic times cubic
+    (_times([-1, 1, 1, -1, 1], [3, 0, -7, 1, 1]), False),  # quartic times quartic
+])
+def test_is_irreducible_examples(coeffs, irreducible):
+    assert is_irreducible(coeffs) is irreducible is _sympy_irreducible(coeffs)
+
+
+monic = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(-9, 9), min_size=k, max_size=k).map(lambda c: c + [1])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(monic, min_size=1, max_size=3).filter(lambda fs: 2 <= sum(len(f) - 1 for f in fs) <= 8))
+def test_is_irreducible_matches_sympy(factors):
+    coeffs = _times(*factors)
+    assume(poly_disc([F(c) for c in coeffs]) != 0)
+    assert is_irreducible(coeffs) == _sympy_irreducible(coeffs)
 
 
 def test_integral_basis_field():

@@ -39,6 +39,44 @@ def test_primes_above_examples(k14):
     assert p2[0].gen2 == k14.generator()
 
 
+def test_primes_above_linear_min_poly():
+    # a linear min_poly is its own factorization mod p
+    x = sympy.Symbol("x")
+    for min_poly, p in (([0, 1], 5), ([3, 1], 7), ([-10, 1], 7), ([7, 1], 7)):
+        k = new_field(min_poly)
+        (q,) = I.primes_above(k, p)
+        (fac, mult), = sympy.Poly(list(reversed(min_poly)), x, modulus=p, symmetric=False).factor_list()[1]
+        assert (q.e, q.f, q.factor_poly) == (mult, 1, tuple(int(c) % p for c in reversed(fac.all_coeffs())))
+        assert q.norm == p and I.valuation(k.from_rational(p), q) == 1
+
+
+# the least strong pseudoprimes to the first 9 (also 10 and 11), 12 and 13
+# prime bases, so 13 Miller-Rabin bases are exact below the last
+PSEUDOPRIMES = (3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(20001) if I.is_prime(n)] == list(sympy.primerange(20001))
+    rng = random.Random(13)
+    others = [rng.getrandbits(rng.randint(2, 100)) for _ in range(3000)]
+    others += [sympy.nextprime(rng.getrandbits(rng.randint(40, 100))) for _ in range(100)]
+    others += [*PSEUDOPRIMES, PSEUDOPRIMES[-1] - 2, 2 ** 89 - 1, 2 ** 127 - 1]
+    for n in others:
+        assert I.is_prime(n) == sympy.isprime(n), n
+    assert [I.next_prime(n) for n in range(-2, 3000)] == [sympy.nextprime(n) for n in range(-2, 3000)]
+
+
+def test_prime_divisors_match_factorint():
+    rng = random.Random(17)
+    cases = [1, 2, 4096, 4093 * 4099, 4099 ** 2, 5 ** 15, 48953 ** 3, 2626003081987 ** 2]
+    cases += [sympy.nextprime(rng.randrange(1000, 10 ** rng.randint(4, 9)))
+              * sympy.nextprime(rng.randrange(1000, 10 ** rng.randint(4, 9))) for _ in range(200)]
+    cases += [rng.getrandbits(rng.randint(2, 48)) | 1 for _ in range(500)]
+    for n in cases:
+        assert I.prime_divisors(n) == sorted(sympy.factorint(n)), n
+        assert I.prime_divisors(-n) == I.prime_divisors(n)
+
+
 def test_primes_above_sum_ef(k14):
     for p in (7, 11, 13, 127):
         assert sum(q.e * q.f for q in I.primes_above(k14, p)) == 2
