@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .constants import c_alpha, c_MK, choose_M, epsilon_for
+from .constants import c_alpha, c_MK, choose_M, epsilon_for, height_constant
 from .errors import (
     EvenPrime,
     FloorFailure,
@@ -22,9 +22,9 @@ from .errors import (
 from .exactnf import NFElement, NumberField, denominator_ideal_norm, weil_height_pow_d
 from .ideals import (
     PrimeIdealData,
+    SIntegerRing,
     canonical_lift,
     is_prime,
-    prime_divisors,
     primes_above,
     principal_generator,
     valuation,
@@ -106,36 +106,31 @@ class RepresentativeFloor:
         self.M = M
         self.epsilon = epsilon
         self.prec = prec
-        field = prime.field
-        d = field.degree
-        self._basis = [
-            field.from_integral_coords([int(i == j) for j in range(d)]) for i in range(d)
-        ]
+        self._basis = whole_ring(prime.field).basis_elements()
         self._gamma_inv = gamma.inverse()
         self._places = None  # float embedding data, built lazily
 
     def _babai_data(self):
         """From the certified sigma(b_k) of the integral basis: per real or
-        upper-half-plane embedding its index, whether it is real, and the float
-        midpoints of Re, Im and |Re|+|Im|; one radius covering half-widths and
-        float conversion; the inverse N of the Babai matrix B (rows
-        _float_vector(b_k)); and K, which puts the float centre _float_vector(x) @ N
-        within K * sum|c_k| of c = to_integral_coords(x) up to underflow (Higham
-        2002, secs. 3.1, 4.2): the largest entry of the residual B @ N - I, exact
-        over the floats, plus N's largest column sum times D + gamma_d (G + D),
+        upper-half-plane embedding the float midpoints of Re, Im and |Re|+|Im|;
+        one radius covering half-widths and float conversion; the inverse N of
+        the Babai matrix B (rows _float_vector(b_k)); and K, which puts the
+        float centre _float_vector(x) @ N within K * sum|c_k| of
+        c = to_integral_coords(x) up to underflow (Higham 2002, secs. 3.1,
+        4.2): the largest entry of the residual B @ N - I, exact over the
+        floats, plus N's largest column sum times D + gamma_d (G + D),
         where D = 3/2 (H + radius + 4u(G + H)) covers the Horner half-width H,
         the float midpoints and the sqrt(2) scaling; G >= |sigma(b_k)|, u = 2^-53."""
         if self._places is None:
             import numpy as np
 
             prec = self.prec
+            field = self.prime.field
+            boxes = field.embeddings(prec)
             places = []
             radius = half = Fraction(0)
-            for i, box in enumerate(self.prime.field.embeddings(prec)):
-                real = box.im.is_exact() and box.im.lo == 0
-                if not real and not box.im.lo > 0:
-                    continue  # the conjugate of an upper-half-plane embedding
-                re, im = [], []
+            for i in field.minkowski_places():
+                box, re, im = boxes[i], [], []
                 for b in self._basis:
                     e = b.embed(i, prec)
                     half = max(half, _horner_width(b.coords, box, prec) / 2)
@@ -143,7 +138,7 @@ class RepresentativeFloor:
                         mid = part.midpoint()
                         mids.append(float(mid))
                         radius = max(radius, part.width() / 2 + abs(Fraction(mids[-1]) - mid))
-                places.append((i, real, re, im, [abs(a) + abs(b) for a, b in zip(re, im)]))
+                places.append((re, im, [abs(a) + abs(b) for a, b in zip(re, im)]))
             self._places = places
             self._radius = float(radius)
             mat = np.array([self._float_vector(b) for b in self._basis])
@@ -160,14 +155,7 @@ class RepresentativeFloor:
     def _float_vector(self, x: NFElement) -> "np.ndarray":
         import numpy as np
 
-        vec: list[float] = []
-        for i, real, *_ in self._places:
-            e = x.embed(i, self.prec)
-            if real:
-                vec.append(float(e.re.midpoint()))
-            else:
-                vec.extend((float(e.re.midpoint()) * 2 ** 0.5, float(e.im.midpoint()) * 2 ** 0.5))
-        return np.array(vec, dtype=float)
+        return np.array(x.float_minkowski(self.prec), dtype=float)
 
     def _center(self, x: NFElement, coords) -> list[int]:
         """round(c), c = to_integral_coords(x), when every c_k = n/q is farther
@@ -236,7 +224,7 @@ class RepresentativeFloor:
             return None
         size = sum(abs(a) for a in xf)
         rel = (2 * len(xf) + 4) * 2.0 ** -53
-        for _, _, re, im, mag in self._places:
+        for re, im, mag in self._places:
             s_re = s_im = scale = 0.0
             for a, r, i, m in zip(xf, re, im, mag):
                 s_re += a * r
@@ -482,6 +470,18 @@ def expand(
     )
 
 
+def continuants(quotients: list[NFElement]) -> tuple[list[NFElement], list[NFElement]]:
+    """A_n, B_n with A_{-1}=1, A_0=a_0, B_{-1}=0, B_0=1; returned including
+    the index -1 entries.  |A_n B_{n-1} - A_{n-1} B_n| = 1 along any chain."""
+    field = quotients[0].field
+    a_list = [field.one(), quotients[0]]
+    b_list = [field.zero(), field.one()]
+    for q in quotients[1:]:
+        a_list.append(q * a_list[-1] + a_list[-2])
+        b_list.append(q * b_list[-1] + b_list[-2])
+    return a_list, b_list
+
+
 def evaluate_cf(quotients: list[NFElement]) -> NFElement:
     """Exact value of [a_0, a_1, ..., a_k] via the continuant recurrences.
 
@@ -489,21 +489,16 @@ def evaluate_cf(quotients: list[NFElement]) -> NFElement:
     (an intermediate division by zero in the nested form)."""
     if not quotients:
         raise ValueError("empty quotient list")
-    field = quotients[0].field
     # tail scan detects intermediate zero denominators exactly
     tail = quotients[-1]
     for q in reversed(quotients[:-1]):
         if tail.is_zero():
             raise ZeroDenominator("intermediate zero denominator in nested evaluation")
         tail = q + tail.inverse()
-    a_prev, a_cur = field.one(), quotients[0]
-    b_prev, b_cur = field.zero(), field.one()
-    for q in quotients[1:]:
-        a_prev, a_cur = a_cur, q * a_cur + a_prev
-        b_prev, b_cur = b_cur, q * b_cur + b_prev
-    if b_cur.is_zero():
+    a_list, b_list = continuants(quotients)
+    if b_list[-1].is_zero():
         raise ZeroDenominator("continued fraction has zero denominator")
-    return a_cur / b_cur
+    return a_list[-1] / b_list[-1]
 
 
 def nu_term(a: NFElement, spec: TypeSpec, prec: int = 128) -> RealInterval:
@@ -585,26 +580,8 @@ def verify_floor_axioms(spec: TypeSpec, samples: list[NFElement], prec: int = 12
 
 
 def _some_denominator_clears(s: NFElement, spec: TypeSpec) -> bool:
-    if s.is_zero():
-        return True
-    for t in spec.denom_set:
-        x = t * s
-        _, b = x.content_split()
-        if b == 1:
-            return True
-        ok = True
-        for p in prime_divisors(b):
-            for q in primes_above(spec.field, p):
-                if q == spec.prime:
-                    continue
-                if valuation(x, q) < 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    ring = SIntegerRing(spec.field, (spec.prime,))
+    return any(ring.contains(t * s) for t in spec.denom_set)
 
 
 @dataclass
@@ -651,23 +628,13 @@ def verify_type_criterion(
 
 def check_height_chain(exp: CFExpansion, prec: int = 128) -> tuple[bool, list[Fraction]]:
     """Certified H(alpha_{n+1})^d <= C * nubar^n along the expansion ledger,
-    with C the product of the per-embedding sqrt(|sigma(a_0-alpha)|^2+1) and
-    the denominator norm of a_0 - alpha away from P."""
+    with C = height_constant(a_0 - alpha)."""
     if len(exp.steps) <= 1:
         return True, []
-    field = exp.spec.field
     diff = exp.partial_quotients[0] - exp.alpha
     if diff.is_zero():
         return True, []
-    c_iv = RealInterval.exact(1)
-    for i in range(field.degree):
-        mag_sq = diff.embed(i, prec).abs_sq()
-        c_iv = (c_iv * sqrt_interval(mag_sq + 1, prec)).rounded(prec + 16)
-    den_norm = denominator_ideal_norm(diff)
-    v = valuation(diff, exp.spec.prime)
-    if v < 0:
-        den_norm = Fraction(den_norm, exp.spec.prime.norm ** (-v))
-    c_iv = c_iv * den_norm
+    c_iv = height_constant(diff, exp.spec.prime, prec)
     nubar = exp.nu_max()
     if nubar is None:
         return True, []

@@ -123,26 +123,28 @@ def epsilon_prime(
     return (epsilon.pow_int(d) * (RealInterval.exact(1) + t0.pow_int(d) * inner)).rounded(prec)
 
 
+def height_constant(diff: NFElement, P: PrimeIdealData, prec: int = 128) -> RealInterval:
+    """The height constant C for diff = a0 - alpha != 0: the product of the
+    per-embedding sqrt(|sigma(diff)|^2+1) and of sup(|diff|_w,1) over the finite
+    places w away from P, which is the denominator norm of diff away from P."""
+    c_inf = RealInterval.exact(1)
+    for i in range(diff.field.degree):
+        mag_sq = diff.embed(i, prec).abs_sq()
+        c_inf = (c_inf * sqrt_interval(mag_sq + 1, prec)).rounded(prec + 16)
+    den_norm = denominator_ideal_norm(diff)
+    v = valuation(diff, P)
+    if v < 0:
+        den_norm = Fraction(den_norm, P.norm ** (-v))
+        assert den_norm.denominator == 1
+    return c_inf * den_norm
+
+
 def c_alpha(alpha: NFElement, a0: NFElement, P: PrimeIdealData, prec: int = 128) -> int:
-    """Iteration cap d*(2^(d+1)*ceil(C)+1)^(d+1), where C is the product of
-    the per-embedding sqrt(|sigma(a0-alpha)|^2+1) and of sup(|a0-alpha|_w,1)
-    over the finite places away from P."""
-    field = alpha.field
-    d = field.degree
+    """Iteration cap d*(2^(d+1)*ceil(C)+1)^(d+1), C = height_constant(a0 - alpha)
+    (1 when a0 = alpha)."""
+    d = alpha.field.degree
     diff = a0 - alpha
-    if diff.is_zero():
-        c_hi = Fraction(1)
-    else:
-        c_inf = RealInterval.exact(1)
-        for i in range(d):
-            mag_sq = diff.embed(i, prec).abs_sq()
-            c_inf = (c_inf * sqrt_interval(mag_sq + 1, prec)).rounded(prec + 16)
-        den_norm = denominator_ideal_norm(diff)
-        v = valuation(diff, P)
-        if v < 0:
-            den_norm = Fraction(den_norm, P.norm ** (-v))
-            assert den_norm.denominator == 1
-        c_hi = (c_inf * den_norm).hi
+    c_hi = Fraction(1) if diff.is_zero() else height_constant(diff, P, prec).hi
     c_ceil = -((-c_hi.numerator) // c_hi.denominator)
     return d * (2 ** (d + 1) * int(c_ceil) + 1) ** (d + 1)
 

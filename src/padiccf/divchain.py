@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cfengine import evaluate_cf
+from .cfengine import continuants, evaluate_cf  # continuants: re-exported
 from .errors import MissingClassData, NotCoprime, SearchExhausted, ZeroDenominator
 from .exactnf import NFElement
 from .ideals import (
@@ -113,18 +113,6 @@ def cf_to_chain(
     return DivisionChain(ring=ring, a=a, b=b, steps=steps)
 
 
-def continuants(quotients: list[NFElement]) -> tuple[list[NFElement], list[NFElement]]:
-    """A_n, B_n with A_{-1}=1, A_0=a_0, B_{-1}=0, B_0=1; returned including
-    the index -1 entries.  |A_n B_{n-1} - A_{n-1} B_n| = 1 along any chain."""
-    field = quotients[0].field
-    a_list = [field.one(), quotients[0]]
-    b_list = [field.zero(), field.one()]
-    for q in quotients[1:]:
-        a_list.append(q * a_list[-1] + a_list[-2])
-        b_list.append(q * b_list[-1] + b_list[-2])
-    return a_list, b_list
-
-
 def euclid_chain(a: int, b: int, ring: SIntegerRing) -> DivisionChain:
     """Classical Euclidean algorithm over Z (floor quotients); test oracle."""
     field = ring.field
@@ -183,36 +171,12 @@ class CLWCaps:
     candidate_bound: int = 400
 
 
-def _babai_round(x: NFElement, prec: int = 128) -> NFElement:
-    """Nearest O_K element to x by coefficient rounding of the embedding."""
+def _babai_round(x: NFElement) -> NFElement:
+    """Nearest O_K element to x: each integral-basis coordinate rounded, halves up."""
     field = x.field
-    d = field.degree
-    if d == 1:
-        q = x.coords[0]
-        return field.from_rational((q + Fraction(1, 2)).__floor__())
-    import numpy as np
-
-    boxes = field.embeddings(prec)
-    basis = [field.from_integral_coords([int(i == j) for j in range(d)]) for i in range(d)]
-
-    def fvec(el: NFElement) -> np.ndarray:
-        vec: list[float] = []
-        for i, box in enumerate(boxes):
-            e = el.embed(i, prec)
-            if box.im.is_exact() and box.im.lo == 0:
-                vec.append(float(e.re.midpoint()))
-            elif box.im.lo > 0:
-                vec.extend((float(e.re.midpoint()), float(e.im.midpoint())))
-        return np.array(vec)
-
-    mat = np.array([fvec(bb) for bb in basis])
-    coeffs = fvec(x) @ np.linalg.inv(mat)
-    out = field.zero()
-    for c, bb in zip(coeffs, basis):
-        n = round(float(c))
-        if n:
-            out = out + bb * n
-    return out
+    return field.from_integral_coords(
+        [(c + Fraction(1, 2)).__floor__() for c in field.to_integral_coords(x)]
+    )
 
 
 def _support_within_s(x: NFElement, ring: SIntegerRing) -> bool:
@@ -313,7 +277,7 @@ def clw_expand(
     m = valuation(b, P) if not b.is_zero() else 0
     gamma_pow = gamma ** m if m > 0 else field.one()
     b2 = b / gamma_pow if m > 0 else b
-    c0 = _babai_round(a / b2, prec)
+    c0 = _babai_round(a / b2)
     q1 = None
     r1 = None
     for t_abs in range(caps.k_range + 1):

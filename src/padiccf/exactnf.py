@@ -15,7 +15,15 @@ from math import lcm
 
 from .errors import DiscMismatch, DivideByZero, NotIrreducible
 from .intervals import ComplexInterval, RealInterval, eval_poly_interval
-from .rootfinding import certified_roots, count_real_roots, is_irreducible, poly_disc, poly_trim, poly_xgcd
+from .rootfinding import (
+    certified_roots,
+    count_real_roots,
+    is_irreducible,
+    mat_det,
+    poly_disc,
+    poly_trim,
+    poly_xgcd,
+)
 
 DEFAULT_PREC = 128
 
@@ -39,27 +47,6 @@ def _mat_inverse(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def _mat_det(rows) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 class NumberField:
@@ -99,7 +86,7 @@ class NumberField:
             if len(self.integral_basis) != d or any(len(r) != d for r in self.integral_basis):
                 raise DiscMismatch("integral_basis must be a d x d matrix")
             self._basis_inv = _mat_inverse(self.integral_basis)
-            det = _mat_det(self.integral_basis)
+            det = mat_det(self.integral_basis)
             if det == 0:
                 raise DiscMismatch("integral_basis is singular")
             index_fr = 1 / abs(det)
@@ -167,6 +154,12 @@ class NumberField:
         with self._cache_lock:
             self._embedding_cache[prec] = roots
         return roots
+
+    def minkowski_places(self) -> list[int]:
+        """Indices of the real embeddings, then of the upper-half-plane one of
+        each conjugate pair: one per archimedean place, in embedding order."""
+        r1, r2 = self.signature
+        return [*range(r1), *range(r1, r1 + 2 * r2, 2)]
 
     # -- coordinate conversions ------------------------------------------------
 
@@ -323,7 +316,7 @@ class NFElement:
     def norm(self) -> Fraction:
         if self.is_rational():
             return self.coords[0] ** self.field.degree
-        return _mat_det(self._mult_matrix())
+        return mat_det(self._mult_matrix())
 
     def trace(self) -> Fraction:
         if self.is_rational():
@@ -353,6 +346,20 @@ class NFElement:
         if self.is_rational():
             return ComplexInterval.exact(self.coords[0])
         return eval_poly_interval(list(self.coords), root, prec)
+
+    def float_minkowski(self, prec: int = DEFAULT_PREC) -> list[float]:
+        """Floats of the Minkowski vector of x: the midpoint of sigma(x) for each
+        real embedding, then sqrt(2) Re and sqrt(2) Im of sigma(x) for each
+        upper-half-plane embedding (the first of each conjugate pair)."""
+        r1 = self.field.signature[0]
+        vec: list[float] = []
+        for i in self.field.minkowski_places():
+            e = self.embed(i, prec)
+            if i < r1:
+                vec.append(float(e.re.midpoint()))
+            else:
+                vec.extend((float(e.re.midpoint()) * 2 ** 0.5, float(e.im.midpoint()) * 2 ** 0.5))
+        return vec
 
     def __repr__(self) -> str:
         return f"NFElement({[str(c) for c in self.coords]})"

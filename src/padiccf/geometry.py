@@ -47,21 +47,16 @@ def log_embedding(u: NFElement, prec: int = 128) -> list[RealInterval]:
     if u.is_zero():
         raise ZeroElement("log embedding of zero")
     field = u.field
-    r1, r2 = field.signature
-    out: list[RealInterval] = []
+    r1 = field.signature[0]
     working = prec
     for attempt in range(6):
         try:
             out = []
-            idx = 0
-            for _ in range(r1):
-                mag = u.embed(idx, working).abs_interval(working)
+            for i in field.minkowski_places():
+                e = u.embed(i, working)
+                # 2 log|tau| = log|tau|^2 at a complex place
+                mag = e.abs_interval(working) if i < r1 else e.abs_sq()
                 out.append(log_interval(mag, working))
-                idx += 1
-            for _ in range(r2):
-                mag_sq = u.embed(idx, working).abs_sq()
-                out.append(log_interval(mag_sq, working))  # 2 log|tau| = log|tau|^2
-                idx += 2
             return out
         except ValueError:
             working *= 2
@@ -131,22 +126,19 @@ def log_lattice(field: NumberField, units: UnitSystem, prec: int = 128) -> LogLa
     if cached is not None:
         return cached
     r1, r2 = field.signature
-    expected_rank = r1 + r2 - 1
+    if len(units.units) != r1 + r2 - 1:
+        raise ValueError(
+            f"{len(units.units)} units supplied for a unit lattice of rank {r1 + r2 - 1}"
+        )
     for u in units.units:
         if abs(u.norm()) != 1:
             raise ValueError(f"unit candidate {u} has |N| = {abs(u.norm())} != 1")
     basis = [log_embedding(u, prec) for u in units.units]
     tol = Fraction(1, 1 << (prec // 2))
     for vec in basis:
-        weights = [1] * r1 + [1] * r2  # complex coordinates already carry the 2
-        s = RealInterval.exact(0)
-        for w, v in zip(weights, vec):
-            s = s + v * w
+        s = sum(vec, RealInterval.exact(0))  # complex coordinates already carry the 2
         if not (abs(s.lo) <= tol and abs(s.hi) <= tol):
             raise ValueError("unit log vector is not in the trace-zero hyperplane")
-    if len(basis) not in (0, expected_rank):
-        # permit a sublattice only if still independent; covering bound stays valid
-        pass
     rho = covering_radius_upper(basis, prec) if basis else RealInterval.exact(0)
     t0_iv = t0_from_rho(rho, prec)
     lattice = LogLattice(
@@ -260,9 +252,9 @@ def _solve_lattice_coeffs(
 def fundamental_unit_real_quadratic(field: NumberField) -> NFElement:
     """x + y*sqrt(D) from the continued fraction of sqrt(D).
 
-    Applies to fields x^2 - D with square-free-free... with the power basis
-    maximal (disc = 4D), which is exactly when this package accepts the field
-    without an explicit integral basis.
+    Applies to fields x^2 - D whose power basis is the maximal order (D
+    square-free and not 1 mod 4, so disc = 4D), as this package assumes of a
+    field given without an explicit integral basis.
     """
     if field.degree != 2 or field.signature != (2, 0):
         raise ValueError("Pell fallback needs a real quadratic field")

@@ -291,9 +291,7 @@ def principal_ideal(x: NFElement) -> FractionalIdeal:
     if x.is_zero():
         raise ValueError("zero ideal not supported")
     field = x.field
-    basis = [field.from_integral_coords([int(i == j) for j in range(field.degree)])
-             for i in range(field.degree)]
-    rows = [list(field.to_integral_coords(x * b)) for b in basis]
+    rows = [list(field.to_integral_coords(x * b)) for b in whole_ring(field).basis_elements()]
     return FractionalIdeal.from_rows(field, rows)
 
 
@@ -371,6 +369,7 @@ def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
             coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
             entries.append((len(coeffs) - 1, tuple(coeffs), mult))
         entries.sort()
+    basis = whole_ring(field).basis_elements()
     out = []
     for deg, coeffs, mult in entries:
         gen2 = field.zero()
@@ -378,7 +377,6 @@ def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
         for c in coeffs:
             gen2 = gen2 + alpha_pow * c
             alpha_pow = alpha_pow * field.generator()
-        basis = [field.from_integral_coords([int(i == j) for j in range(d)]) for i in range(d)]
         rows = [[p * int(i == j) for j in range(d)] for i in range(d)]
         for b in basis:
             coords = field.to_integral_coords(gen2 * b)
@@ -724,20 +722,7 @@ def principal_generator(
     if key in P._power_cache:
         return P._power_cache[key]
     rows = [list(r) for r in P.as_ideal.hnf]
-    embeddings = field.embeddings(prec)
-    embed_rows = []
-    for row in rows:
-        el = field.from_integral_coords(row)
-        vec: list[float] = []
-        for i, box in enumerate(embeddings):
-            e = el.embed(i, prec)
-            re = float(e.re.midpoint())
-            im = float(e.im.midpoint())
-            if box.im.is_exact() and box.im.lo == 0:
-                vec.append(re)
-            elif box.im.lo > 0:  # one linear slot per conjugate pair
-                vec.extend((re * 2 ** 0.5, im * 2 ** 0.5))
-        embed_rows.append(vec)
+    embed_rows = [b.float_minkowski(prec) for b in P.as_ideal.basis_elements()]
     reduced = _lll_reduce_rows(rows, embed_rows)
 
     target = Fraction(P.norm)

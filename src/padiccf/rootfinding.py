@@ -92,6 +92,28 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return poly_trim(r0), poly_trim(s0), poly_trim(t0)
 
 
+def mat_det(rows) -> Fraction:
+    """Exact determinant of a square matrix of rationals, by Gaussian elimination."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
 def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
     a, b = poly_trim(list(a)), poly_trim(list(b))
     m, n = poly_degree(a), poly_degree(b)
@@ -107,23 +129,7 @@ def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
     for i in range(m):
         for j, c in enumerate(reversed(b)):
             mat[n + i][i + j] = c
-    # fraction Gaussian elimination determinant
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, size):
-            if mat[r][col] != 0:
-                factor = mat[r][col] * inv
-                for c in range(col, size):
-                    mat[r][c] -= factor * mat[col][c]
-    return det
+    return mat_det(mat)
 
 
 def poly_disc(p: Poly) -> Fraction:

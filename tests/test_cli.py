@@ -53,6 +53,17 @@ def test_bad_unit_data_fails_loudly(tmp_path):
     assert proc.returncode == 2
 
 
+def test_too_few_units_fail_loudly(tmp_path):
+    """A unit list shorter than the unit rank r1 + r2 - 1 is an input error:
+    without it T0 and c(M,K) came out far below the field's true values."""
+    with pytest.raises(FieldSpecError, match="rank 2"):
+        load_field_data({"min_poly": [1, -2, -1, 1], "fundamental_units": []})  # totally real
+    p = tmp_path / "no_units.json"
+    p.write_text(json.dumps({"min_poly": [-14, 0, 1], "fundamental_units": []}))
+    proc = run_cli(["constants", str(p)])
+    assert proc.returncode == 2 and "rank 1" in proc.stderr
+
+
 # -- subcommands -------------------------------------------------------------------
 
 

@@ -115,6 +115,22 @@ def test_continuant_determinant(ring_q):
             assert det.coords[0] in (1, -1)
 
 
+def test_babai_round_ties_round_up(ring_q, qz_setup):
+    """Every integral-basis coordinate is rounded exactly, an exact half up,
+    as over Q; float rounding of the embedding gave float noise at ties."""
+    kq, kz, k14 = ring_q.field, qz_setup[0].field, new_field([-14, 0, 1])
+    cases = [
+        (kq, (F(-7, 2),), (-3,)),
+        (k14, (F(1, 2), F(1, 2)), (1, 1)),
+        (k14, (F(5, 2), F(-7, 2)), (3, -3)),
+        (k14, (F(7, 3), F(-8, 3)), (2, -3)),
+        (kz, (F(1, 2), F(1, 2), F(1, 2)), (1, 1, 1)),
+    ]
+    for field, coords, expected in cases:
+        rounded = DC._babai_round(field.from_integral_coords(coords))
+        assert field.to_integral_coords(rounded) == expected
+
+
 def test_class_obstruction():
     kq = new_field([0, 1])
     p5 = primes_above(kq, 5)[0]
