@@ -29,7 +29,7 @@ def main() -> None:
           f"T0 ~ {float(rep.t0.hi):.4f}, c(M,K) ~ {float(rep.c_MK.hi):.1f}")
     prime = degree_one_primes_above(lf.field, int(rep.c_MK.hi) + 1, 1)[0]
     spec = CF.make_representative_type(lf.field, prime, lf.units)
-    lat = G.log_lattice(lf.field, lf.units, 128)
+    lat = G.log_lattice(lf.field, lf.units)
     epsp = C.epsilon_prime(prime.norm, rep.M, 2, spec.floor.epsilon, lat.t0)
     print(f"prime: p = {prime.p}, N = {prime.norm}, eps'(N) ~ {float(epsp.hi):.6f}")
     rng = random.Random(seed)

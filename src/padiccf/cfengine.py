@@ -30,7 +30,7 @@ from .ideals import (
     valuation,
     whole_ring,
 )
-from .intervals import RealInterval, sqrt_interval
+from .intervals import DEFAULT_PREC, RealInterval, sqrt_interval
 
 HARD_CAP = 10_000
 
@@ -49,7 +49,7 @@ class BrowkinFloor:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    def apply(self, eta: NFElement, prec: int = 128) -> NFElement:
+    def apply(self, eta: NFElement, prec: int = DEFAULT_PREC) -> NFElement:
         field = eta.field
         if field.degree != 1:
             raise FloorFailure("Browkin floor is defined over Q only")
@@ -72,12 +72,12 @@ class BrowkinFloor:
         return f"browkin(p={self.p})"
 
 
-def _horner_width(coeffs, z, prec: int) -> Fraction:
-    """Bound on the width of either part of eval_poly_interval(coeffs, z, prec),
+def _horner_width(coeffs, z) -> Fraction:
+    """Bound on the width of either part of eval_poly_interval(coeffs, z, DEFAULT_PREC),
     linear in |coeffs|: each step widens a size-m, width-w value by at most
-    2(w|z| + m w_z), and rounding moves each endpoint by 2^-(prec+16) of its size."""
+    2(w|z| + m w_z), and rounding moves each endpoint by 2^-(DEFAULT_PREC+16) of its size."""
     zm = max(abs(a) for a in (z.re.lo, z.re.hi, z.im.lo, z.im.hi))
-    zw, ulp = max(z.re.width(), z.im.width()), Fraction(1, 2 ** (prec + 16))
+    zw, ulp = max(z.re.width(), z.im.width()), Fraction(1, 2 ** (DEFAULT_PREC + 16))
     m = w = Fraction(0)
     for c in reversed(coeffs):
         m, w = 2 * m * zm + abs(c), 2 * (w * zm + m * zw)
@@ -97,7 +97,6 @@ class RepresentativeFloor:
         gamma: NFElement,
         M: int,
         epsilon: RealInterval,
-        prec: int = 128,
     ):
         if M < 2:
             raise ValueError("representative floor needs M >= 2")
@@ -105,7 +104,6 @@ class RepresentativeFloor:
         self.gamma = gamma
         self.M = M
         self.epsilon = epsilon
-        self.prec = prec
         self._basis = whole_ring(prime.field).basis_elements()
         self._gamma_inv = gamma.inverse()
         self._places = None  # float embedding data, built lazily
@@ -124,16 +122,15 @@ class RepresentativeFloor:
         if self._places is None:
             import numpy as np
 
-            prec = self.prec
             field = self.prime.field
-            boxes = field.embeddings(prec)
+            boxes = field.embeddings()
             places = []
             radius = half = Fraction(0)
             for i in field.minkowski_places():
                 box, re, im = boxes[i], [], []
                 for b in self._basis:
-                    e = b.embed(i, prec)
-                    half = max(half, _horner_width(b.coords, box, prec) / 2)
+                    e = b.embed(i)
+                    half = max(half, _horner_width(b.coords, box) / 2)
                     for part, mids in ((e.re, re), (e.im, im)):
                         mid = part.midpoint()
                         mids.append(float(mid))
@@ -155,7 +152,7 @@ class RepresentativeFloor:
     def _float_vector(self, x: NFElement) -> "np.ndarray":
         import numpy as np
 
-        return np.array(x.float_minkowski(self.prec), dtype=float)
+        return np.array(x.float_minkowski(), dtype=float)
 
     def _center(self, x: NFElement, coords) -> list[int]:
         """round(c), c = to_integral_coords(x), when every c_k = n/q is farther
@@ -168,8 +165,7 @@ class RepresentativeFloor:
         # numpy < 2 rounds to floats
         return [int(round(c)) for c in self._float_vector(x) @ self._mat_inv]
 
-    def apply(self, eta: NFElement, prec: int | None = None) -> NFElement:
-        prec = prec or self.prec
+    def apply(self, eta: NFElement, prec: int = DEFAULT_PREC) -> NFElement:
         field = self.prime.field
         alpha_prime = canonical_lift(eta, self.prime, self.gamma)
         if alpha_prime.is_zero():  # eta = 0 or v_P(eta) >= 1
@@ -269,7 +265,7 @@ class ShiftedFloor:
         self.base = base
         self.shift = shift
 
-    def apply(self, eta: NFElement, prec: int = 128) -> NFElement:
+    def apply(self, eta: NFElement, prec: int = DEFAULT_PREC) -> NFElement:
         s = self.base.apply(eta, prec)
         return s + s.field.from_rational(self.shift)
 
@@ -295,8 +291,8 @@ class TypeSpec:
     floor: object
     warnings: list[str] = dc_field(default_factory=list)
 
-    def floor_apply(self, eta: NFElement, prec: int = 128) -> NFElement:
-        return self.floor.apply(eta, prec)
+    def floor_apply(self, eta: NFElement) -> NFElement:
+        return self.floor.apply(eta)
 
 
 def make_browkin_type(field: NumberField, p: int) -> TypeSpec:
@@ -318,7 +314,6 @@ def make_representative_type(
     M: int | None = None,
     epsilon: RealInterval | None = None,
     gamma: NFElement | None = None,
-    prec: int = 128,
 ) -> TypeSpec:
     """Assemble the explicit floor from the constants pipeline; warns when
     the prime norm is at or below the c(M,K) threshold."""
@@ -326,13 +321,13 @@ def make_representative_type(
 
     warnings: list[str] = []
     if M is None:
-        M = choose_M(field, prec)
+        M = choose_M(field)
     if epsilon is None:
-        epsilon = epsilon_for(whole_ring(field), field, M, prec)
+        epsilon = epsilon_for(whole_ring(field), field, M)
     if gamma is None:
-        gamma = principal_generator(prime, units, prec=prec)
-    lat = geometry.log_lattice(field, units, prec)
-    threshold = c_MK(M, field.degree, epsilon, lat.t0, prec)
+        gamma = principal_generator(prime, units)
+    lat = geometry.log_lattice(field, units)
+    threshold = c_MK(M, field.degree, epsilon, lat.t0)
     if not RealInterval.exact(prime.norm).certainly_gt(threshold):
         warnings.append(
             f"N(P) = {prime.norm} is not above c(M,K) "
@@ -347,7 +342,7 @@ def make_representative_type(
         field=field,
         prime=prime,
         denom_set=denoms,
-        floor=RepresentativeFloor(prime, gamma, M, epsilon, prec),
+        floor=RepresentativeFloor(prime, gamma, M, epsilon),
         warnings=warnings,
     )
     return spec
@@ -391,7 +386,6 @@ def expand(
     alpha: NFElement,
     spec: TypeSpec,
     cap: int | None = None,
-    prec: int = 128,
 ) -> CFExpansion:
     """Run the expansion with exact complete quotients.
 
@@ -401,9 +395,9 @@ def expand(
     """
     field = spec.field
     prime = spec.prime
-    a0 = spec.floor_apply(alpha, prec)
+    a0 = spec.floor_apply(alpha)
     if cap is None:
-        cap = min(c_alpha(alpha, a0, prime, prec), HARD_CAP)
+        cap = min(c_alpha(alpha, a0, prime), HARD_CAP)
     cap = max(cap, 1)
 
     partial: list[NFElement] = []
@@ -417,7 +411,7 @@ def expand(
     seen[current] = 0
     n = 0
     while True:
-        a_n = a0 if n == 0 else spec.floor_apply(current, prec)
+        a_n = a0 if n == 0 else spec.floor_apply(current)
         diff = current - a_n
         if not diff.is_zero() and valuation(diff, prime) < 1:
             raise FloorFailure(
@@ -434,14 +428,14 @@ def expand(
         v_complete = valuation(current, prime) if not current.is_zero() else 0
         nu_iv = None
         if n >= 1 or (not a_n.is_zero() and valuation(a_n, prime) < 0):
-            nu_iv = nu_term(a_n, spec, prec)
+            nu_iv = nu_term(a_n, spec)
         steps.append(
             StepRecord(
                 index=n,
                 complete_quotient=current,
                 partial_quotient=a_n,
                 v_complete=v_complete,
-                height_pow_d=weil_height_pow_d(current, prec),
+                height_pow_d=weil_height_pow_d(current),
                 nu=nu_iv,
             )
         )
@@ -501,7 +495,7 @@ def evaluate_cf(quotients: list[NFElement]) -> NFElement:
     return a_list[-1] / b_list[-1]
 
 
-def nu_term(a: NFElement, spec: TypeSpec, prec: int = 128) -> RealInterval:
+def nu_term(a: NFElement, spec: TypeSpec) -> RealInterval:
     """Certified value of
     |a|_{w0}^{-d_{w0}} * prod_sigma theta(sigma(a)) * prod_{w != w0} max(|a|_w, 1)^{d_w}.
 
@@ -515,10 +509,10 @@ def nu_term(a: NFElement, spec: TypeSpec, prec: int = 128) -> RealInterval:
     finite_part = Fraction(denominator_ideal_norm(a), spec.prime.norm ** (-2 * v))
     arch = RealInterval.exact(1)
     for i in range(spec.field.degree):
-        mag_sq = a.embed(i, prec).abs_sq()
-        t = (sqrt_interval(mag_sq, prec) + sqrt_interval(mag_sq + 4, prec)) * Fraction(1, 2)
-        arch = (arch * t).rounded(prec + 16)
-    return (arch * finite_part).rounded(prec)
+        mag_sq = a.embed(i).abs_sq()
+        t = (sqrt_interval(mag_sq) + sqrt_interval(mag_sq + 4)) * Fraction(1, 2)
+        arch = (arch * t).rounded(DEFAULT_PREC + 16)
+    return (arch * finite_part).rounded(DEFAULT_PREC)
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +544,23 @@ class FloorAxiomReport:
         return [c for c in self.checks if not c.all_ok]
 
 
-def verify_floor_axioms(spec: TypeSpec, samples: list[NFElement], prec: int = 128) -> FloorAxiomReport:
+def verify_floor_axioms(spec: TypeSpec, samples: list[NFElement]) -> FloorAxiomReport:
     """Check the floor-function axioms on each sample:
     (i) v_P(eta - s(eta)) >= 1; (ii) some t in the denominator set makes
     t*s(eta) integral outside P; (iii) s(0) = 0; (iv) same-coset inputs give
     the same output."""
     field = spec.field
     prime = spec.prime
-    zero_ok = spec.floor_apply(field.zero(), prec).is_zero()
+    zero_ok = spec.floor_apply(field.zero()).is_zero()
     checks = []
     shift_elements = [field.from_integral_coords(row) for row in prime.as_ideal.hnf]
     for idx, eta in enumerate(samples):
-        s = spec.floor_apply(eta, prec)
+        s = spec.floor_apply(eta)
         diff = eta - s
         membership_ok = diff.is_zero() or valuation(diff, prime) >= 1
         denominator_ok = _some_denominator_clears(s, spec)
         shift = shift_elements[idx % len(shift_elements)] * (1 + idx % 3)
-        s_shifted = spec.floor_apply(eta + shift, prec)
+        s_shifted = spec.floor_apply(eta + shift)
         coset_ok = s_shifted == s
         checks.append(
             AxiomCheck(
@@ -598,7 +592,7 @@ class TypeCriterionReport:
 
 
 def verify_type_criterion(
-    spec: TypeSpec, samples: list[NFElement], prec: int = 128, cap: int | None = None
+    spec: TypeSpec, samples: list[NFElement], cap: int | None = None
 ) -> TypeCriterionReport:
     """Empirical criterion run: nu of every floor output, plus the certified
     height chain H(alpha_{n+1})^d <= C * nubar^n along each expansion."""
@@ -607,14 +601,14 @@ def verify_type_criterion(
     expansions: list[CFExpansion] = []
     chain_ok = True
     for eta in samples:
-        exp = expand(eta, spec, cap=cap, prec=prec)
+        exp = expand(eta, spec, cap=cap)
         expansions.append(exp)
         for s in exp.steps:
             if s.nu is not None:
                 nu_values.append(s.nu)
                 if s.nu.hi >= 1:
                     flagged.append(len(nu_values) - 1)
-        if not check_height_chain(exp, prec)[0]:
+        if not check_height_chain(exp)[0]:
             chain_ok = False
     sup = max((v.hi for v in nu_values), default=None)
     return TypeCriterionReport(
@@ -626,7 +620,7 @@ def verify_type_criterion(
     )
 
 
-def check_height_chain(exp: CFExpansion, prec: int = 128) -> tuple[bool, list[Fraction]]:
+def check_height_chain(exp: CFExpansion) -> tuple[bool, list[Fraction]]:
     """Certified H(alpha_{n+1})^d <= C * nubar^n along the expansion ledger,
     with C = height_constant(a_0 - alpha)."""
     if len(exp.steps) <= 1:
@@ -634,7 +628,7 @@ def check_height_chain(exp: CFExpansion, prec: int = 128) -> tuple[bool, list[Fr
     diff = exp.partial_quotients[0] - exp.alpha
     if diff.is_zero():
         return True, []
-    c_iv = height_constant(diff, exp.spec.prime, prec)
+    c_iv = height_constant(diff, exp.spec.prime)
     nubar = exp.nu_max()
     if nubar is None:
         return True, []

@@ -23,7 +23,7 @@ from .errors import FieldSpecError, PadicCFError, SearchExhausted
 from .exactnf import NFElement, NumberField
 from .fieldspec import LoadedField, bundled_path, bundled_table1_names, load_bundled, load_field_file
 from .ideals import SIntegerRing, primes_above
-from .intervals import RealInterval
+from .intervals import DEFAULT_PREC, RealInterval
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -80,12 +80,12 @@ def parse_coords(field: NumberField, text: str) -> NFElement:
         raise FieldSpecError(f"cannot parse coordinates {text!r}: {exc}") from exc
 
 
-def _resolve_field(arg: str, prec: int) -> LoadedField:
+def _resolve_field(arg: str) -> LoadedField:
     path = Path(arg)
     if path.exists():
-        return load_field_file(path, prec=prec)
+        return load_field_file(path)
     try:
-        return load_bundled(arg if arg.endswith(".json") else arg + ".json", prec=prec)
+        return load_bundled(arg if arg.endswith(".json") else arg + ".json")
     except Exception:
         raise FieldSpecError(f"field file {arg!r} not found (not a path or bundled name)")
 
@@ -105,7 +105,7 @@ def _base_report(command: str, args, inputs: dict) -> dict:
         "command": command,
         "version": __version__,
         "inputs": inputs,
-        "certification": {"precision_bits": args.precision},
+        "certification": {"precision_bits": DEFAULT_PREC},
         "warnings": [],
         "outputs": {},
     }
@@ -116,7 +116,7 @@ def _base_report(command: str, args, inputs: dict) -> dict:
 
 
 def cmd_field_info(args) -> int:
-    lf = _resolve_field(args.field, args.precision)
+    lf = _resolve_field(args.field)
     field = lf.field
     report = _base_report("field-info", args, {"field": lf.label})
     units = [
@@ -131,7 +131,7 @@ def cmd_field_info(args) -> int:
         "index": field.index,
         "class_number": lf.class_number,
         "fundamental_units": units,
-        "minkowski_bound": interval_json(constants.minkowski_bound(field, args.precision)),
+        "minkowski_bound": interval_json(constants.minkowski_bound(field)),
     }
     lines = [
         f"{lf.label}: degree {field.degree}, signature {field.signature}, disc {field.field_disc}",
@@ -160,7 +160,7 @@ def _constants_report_json(rep: constants.ConstantsReport) -> dict:
 
 
 def cmd_constants(args) -> int:
-    lf = _resolve_field(args.field, args.precision)
+    lf = _resolve_field(args.field)
     m_override = args.M
     eps_override = Fraction(args.epsilon) if args.epsilon else None
     if args.bedocchi:
@@ -176,7 +176,6 @@ def cmd_constants(args) -> int:
         M_override=m_override,
         epsilon_override=eps_override,
         epsilon_prime_samples=samples,
-        prec=args.precision,
     )
     report = _base_report(
         "constants",
@@ -213,8 +212,8 @@ def cmd_table1(args) -> int:
     all_m_ok = True
     for path in paths:
         try:
-            lf = load_field_file(path, prec=args.precision)
-            rep = constants.compute_constants(lf.field, lf.units, label=lf.label, prec=args.precision)
+            lf = load_field_file(path)
+            rep = constants.compute_constants(lf.field, lf.units, label=lf.label)
         except PadicCFError as exc:
             rows.append({"file": path.name, "flagged": str(exc)})
             lines.append(f"{path.name}: FLAGGED ({exc})")
@@ -293,7 +292,7 @@ def _build_type(lf: LoadedField, args):
         if args.epsilon:
             eps = RealInterval.exact(Fraction(args.epsilon))
         spec = cfengine.make_representative_type(
-            lf.field, prime, lf.units, M=args.M, epsilon=eps, gamma=gen, prec=args.precision
+            lf.field, prime, lf.units, M=args.M, epsilon=eps, gamma=gen
         )
     if args.corrupt:
         spec.floor = cfengine.ShiftedFloor(spec.floor)
@@ -312,14 +311,14 @@ def _type_inputs(lf: LoadedField, args, spec, prime_index: int, gen, **extra) ->
 
 
 def cmd_expand(args) -> int:
-    lf = _resolve_field(args.field, args.precision)
+    lf = _resolve_field(args.field)
     spec, prime_index, gen = _build_type(lf, args)
     alpha = parse_coords(lf.field, args.alpha)
     inputs = _type_inputs(lf, args, spec, prime_index, gen, alpha=args.alpha, cap=args.cap)
     report = _base_report("expand", args, inputs)
     report["warnings"] = list(spec.warnings)
     try:
-        exp = cfengine.expand(alpha, spec, cap=args.cap, prec=args.precision)
+        exp = cfengine.expand(alpha, spec, cap=args.cap)
     except SearchExhausted as exc:
         # keep the inputs and the type's warnings, which often explain why
         report["error"] = f"search exhausted: {exc}"
@@ -372,11 +371,11 @@ def _sample_elements(field: NumberField, count: int, rng: random.Random,
 
 
 def cmd_verify_floor(args) -> int:
-    lf = _resolve_field(args.field, args.precision)
+    lf = _resolve_field(args.field)
     spec, prime_index, gen = _build_type(lf, args)
     rng = random.Random(args.seed)
     samples = _sample_elements(lf.field, args.samples, rng)
-    rep = cfengine.verify_floor_axioms(spec, samples, prec=args.precision)
+    rep = cfengine.verify_floor_axioms(spec, samples)
     report = _base_report(
         "verify-floor",
         args,
@@ -400,11 +399,11 @@ def cmd_verify_floor(args) -> int:
 
 
 def cmd_verify_type(args) -> int:
-    lf = _resolve_field(args.field, args.precision)
+    lf = _resolve_field(args.field)
     spec, prime_index, gen = _build_type(lf, args)
     rng = random.Random(args.seed)
     samples = _sample_elements(lf.field, args.samples, rng)
-    rep = cfengine.verify_type_criterion(spec, samples, prec=args.precision, cap=args.cap)
+    rep = cfengine.verify_type_criterion(spec, samples, cap=args.cap)
     report = _base_report(
         "verify-type",
         args,
@@ -430,7 +429,7 @@ def cmd_verify_type(args) -> int:
 
 
 def cmd_divchain(args) -> int:
-    lf = _resolve_field(args.field, args.precision)
+    lf = _resolve_field(args.field)
     a = parse_coords(lf.field, args.a)
     b = parse_coords(lf.field, args.b)
     ps = primes_above(lf.field, args.S)
@@ -441,7 +440,7 @@ def cmd_divchain(args) -> int:
         unit_exponent_bound=args.unit_exp_bound,
         candidate_bound=args.candidate_bound,
     )
-    chain = divchain.clw_expand(a, b, ring, lf.units, caps=caps, prec=args.precision)
+    chain = divchain.clw_expand(a, b, ring, lf.units, caps=caps)
     ver = divchain.verify_chain(chain)
     quotients = chain.quotients()
     a_seq, b_seq = divchain.continuants(quotients)
@@ -477,7 +476,7 @@ def cmd_divchain(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    lf = _resolve_field(args.field, args.precision)
+    lf = _resolve_field(args.field)
     quotients = [parse_coords(lf.field, part) for part in args.quotients.split(";") if part.strip()]
     value = cfengine.evaluate_cf(quotients)
     report = _base_report("evaluate", args, {"field": lf.label, "quotients": args.quotients})
@@ -495,14 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="padiccf",
         description="P-adic continued fractions with extraneous denominators over number fields",
     )
-    parser.add_argument("--precision", type=int, default=128, help="working precision in bits")
     parser.add_argument("--cap", type=int, default=None, help="iteration cap for expansions")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed for sampling commands")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # top-level defaults from being overwritten when they are absent there
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)

@@ -14,43 +14,43 @@ from fractions import Fraction
 from .errors import EpsilonNotLessThanOne
 from .exactnf import NFElement, NumberField, denominator_ideal_norm
 from .ideals import FractionalIdeal, PrimeIdealData, valuation, whole_ring
-from .intervals import RealInterval, nth_root_interval, pi_interval, sqrt_interval
+from .intervals import DEFAULT_PREC, RealInterval, nth_root_interval, pi_interval, sqrt_interval
 
 
-def theta(x, prec: int = 128) -> RealInterval:
+def theta(x) -> RealInterval:
     """(|x| + sqrt(x^2 + 4)) / 2; satisfies |x| <= theta(x) <= |x| + 1."""
     xi = x if isinstance(x, RealInterval) else RealInterval.exact(Fraction(x))
     ax = xi.abs()
-    return (ax + sqrt_interval(ax.square() + 4, prec)) * Fraction(1, 2)
+    return (ax + sqrt_interval(ax.square() + 4)) * Fraction(1, 2)
 
 
 def _factorial_over_dd(d: int) -> Fraction:
     return Fraction(math.factorial(d), d ** d)
 
 
-def minkowski_bound(field: NumberField, prec: int = 128) -> RealInterval:
+def minkowski_bound(field: NumberField) -> RealInterval:
     """(d!/d^d) (4/pi)^r2 sqrt|disc|: every ideal class has an integral ideal
     of norm below this."""
     d = field.degree
     _, r2 = field.signature
-    base = sqrt_interval(abs(field.field_disc), prec) * _factorial_over_dd(d)
+    base = sqrt_interval(abs(field.field_disc)) * _factorial_over_dd(d)
     if r2:
-        base = base * (RealInterval.exact(4) / pi_interval(prec)).pow_int(r2)
-    return base.rounded(prec)
+        base = base * (RealInterval.exact(4) / pi_interval()).pow_int(r2)
+    return base.rounded(DEFAULT_PREC)
 
 
-def c_ideal(ideal: FractionalIdeal, field: NumberField, prec: int = 128) -> RealInterval:
+def c_ideal(ideal: FractionalIdeal, field: NumberField) -> RealInterval:
     """max((2/pi)^r2 sqrt|disc| N(ideal), 1)."""
     if not ideal.is_integral():
         raise ValueError("c_ideal needs an integral ideal")
     _, r2 = field.signature
-    val = sqrt_interval(abs(field.field_disc), prec) * ideal.norm()
+    val = sqrt_interval(abs(field.field_disc)) * ideal.norm()
     if r2:
-        val = val * (RealInterval.exact(2) / pi_interval(prec)).pow_int(r2)
-    return val.max_with(1).rounded(prec)
+        val = val * (RealInterval.exact(2) / pi_interval()).pow_int(r2)
+    return val.max_with(1).rounded(DEFAULT_PREC)
 
 
-def c_field(field: NumberField, prec: int = 128) -> RealInterval:
+def c_field(field: NumberField, prec: int = DEFAULT_PREC) -> RealInterval:
     """max(|disc| (8/pi^2)^r2 d!/d^d, 1); exact for totally real fields."""
     d = field.degree
     _, r2 = field.signature
@@ -62,9 +62,9 @@ def c_field(field: NumberField, prec: int = 128) -> RealInterval:
     return val.max_with(1).rounded(prec)
 
 
-def choose_M(field: NumberField, prec: int = 128) -> int:
+def choose_M(field: NumberField) -> int:
     """Smallest integer >= c(K); equality with c(K) is allowed."""
-    working = prec
+    working = DEFAULT_PREC
     for _ in range(8):
         c = c_field(field, working)
         lo_ceil = -((-c.lo.numerator) // c.lo.denominator)
@@ -75,14 +75,12 @@ def choose_M(field: NumberField, prec: int = 128) -> int:
     raise ArithmeticError("choose_M: ceiling undecidable; c(K) suspiciously close to an integer")
 
 
-def epsilon_for(
-    ideal: FractionalIdeal, field: NumberField, M: int, prec: int = 128
-) -> RealInterval:
+def epsilon_for(ideal: FractionalIdeal, field: NumberField, M: int) -> RealInterval:
     """epsilon with volume equality M = Vol(D)/Vol(U_eps):
     epsilon = (sqrt|disc| N(ideal) (2/pi)^r2 / M)^(1/d).  Raises if not < 1."""
     d = field.degree
     _, r2 = field.signature
-    working = prec
+    working = DEFAULT_PREC
     for _ in range(8):
         val = sqrt_interval(abs(field.field_disc), working) * ideal.norm() / M
         if r2:
@@ -98,39 +96,39 @@ def epsilon_for(
     raise EpsilonNotLessThanOne(f"M = {M}: epsilon not certifiably below 1")
 
 
-def c_MK(M: int, d: int, epsilon: RealInterval, t0: RealInterval, prec: int = 128) -> RealInterval:
+def c_MK(M: int, d: int, epsilon: RealInterval, t0: RealInterval) -> RealInterval:
     """The prime-norm threshold
     (M / (eps T0 ((( (1-eps^d)/(eps^d T0^d) + 1 ))^(1/d) - 1)))^d;
     always strictly larger than M^d."""
     eps_d = epsilon.pow_int(d)
     inner = (RealInterval.exact(1) - eps_d) / (eps_d * t0.pow_int(d)) + 1
-    root = nth_root_interval(inner, d, prec)
-    denom = epsilon * t0 * (root - 1)
-    if not denom.certainly_positive():
-        raise ArithmeticError("c(M,K) denominator not certifiably positive; raise precision")
-    return ((RealInterval.exact(M) / denom).pow_int(d)).rounded(prec)
+    working = DEFAULT_PREC
+    for _ in range(8):
+        denom = epsilon * t0 * (nth_root_interval(inner, d, working) - 1)
+        if denom.certainly_positive():
+            return ((RealInterval.exact(M) / denom).pow_int(d)).rounded(working)
+        working *= 2
+    raise ArithmeticError("c(M,K) denominator not certifiably positive")
 
 
-def epsilon_prime(
-    q: int, M: int, d: int, epsilon: RealInterval, t0: RealInterval, prec: int = 128
-) -> RealInterval:
+def epsilon_prime(q: int, M: int, d: int, epsilon: RealInterval, t0: RealInterval) -> RealInterval:
     """eps^d (1 + T0^d ((1 + M/(eps T0 q^(1/d)))^d - 1)); decreasing in q,
     below 1 exactly when q clears the c(M,K) threshold."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    qroot = nth_root_interval(Fraction(q), d, prec)
+    qroot = nth_root_interval(Fraction(q), d)
     inner = (RealInterval.exact(1) + RealInterval.exact(M) / (epsilon * t0 * qroot)).pow_int(d) - 1
-    return (epsilon.pow_int(d) * (RealInterval.exact(1) + t0.pow_int(d) * inner)).rounded(prec)
+    return (epsilon.pow_int(d) * (RealInterval.exact(1) + t0.pow_int(d) * inner)).rounded(DEFAULT_PREC)
 
 
-def height_constant(diff: NFElement, P: PrimeIdealData, prec: int = 128) -> RealInterval:
+def height_constant(diff: NFElement, P: PrimeIdealData) -> RealInterval:
     """The height constant C for diff = a0 - alpha != 0: the product of the
     per-embedding sqrt(|sigma(diff)|^2+1) and of sup(|diff|_w,1) over the finite
     places w away from P, which is the denominator norm of diff away from P."""
     c_inf = RealInterval.exact(1)
     for i in range(diff.field.degree):
-        mag_sq = diff.embed(i, prec).abs_sq()
-        c_inf = (c_inf * sqrt_interval(mag_sq + 1, prec)).rounded(prec + 16)
+        mag_sq = diff.embed(i).abs_sq()
+        c_inf = (c_inf * sqrt_interval(mag_sq + 1)).rounded(DEFAULT_PREC + 16)
     den_norm = denominator_ideal_norm(diff)
     v = valuation(diff, P)
     if v < 0:
@@ -139,12 +137,12 @@ def height_constant(diff: NFElement, P: PrimeIdealData, prec: int = 128) -> Real
     return c_inf * den_norm
 
 
-def c_alpha(alpha: NFElement, a0: NFElement, P: PrimeIdealData, prec: int = 128) -> int:
+def c_alpha(alpha: NFElement, a0: NFElement, P: PrimeIdealData) -> int:
     """Iteration cap d*(2^(d+1)*ceil(C)+1)^(d+1), C = height_constant(a0 - alpha)
     (1 when a0 = alpha)."""
     d = alpha.field.degree
     diff = a0 - alpha
-    c_hi = Fraction(1) if diff.is_zero() else height_constant(diff, P, prec).hi
+    c_hi = Fraction(1) if diff.is_zero() else height_constant(diff, P).hi
     c_ceil = -((-c_hi.numerator) // c_hi.denominator)
     return d * (2 ** (d + 1) * int(c_ceil) + 1) ** (d + 1)
 
@@ -176,17 +174,16 @@ def compute_constants(
     M_override: int | None = None,
     epsilon_override: Fraction | None = None,
     epsilon_prime_samples: list[int] | None = None,
-    prec: int = 128,
 ) -> ConstantsReport:
     """Full constants pipeline for the trivial-class representative O_K."""
     from . import geometry
 
     warnings: list[str] = []
     d = field.degree
-    lat = geometry.log_lattice(field, units, prec)
-    cf = c_field(field, prec)
+    lat = geometry.log_lattice(field, units)
+    cf = c_field(field)
     if M_override is None:
-        M = choose_M(field, prec)
+        M = choose_M(field)
     else:
         M = M_override
         if RealInterval.exact(M).certainly_lt(cf):
@@ -197,15 +194,15 @@ def compute_constants(
         if not eps.certainly_lt(RealInterval.exact(1)) or not eps.certainly_positive():
             raise EpsilonNotLessThanOne(f"supplied epsilon {epsilon_override} outside (0,1)")
     else:
-        eps = epsilon_for(ok, field, M, prec)
-    cmk = c_MK(M, d, eps, lat.t0, prec)
+        eps = epsilon_for(ok, field, M)
+    cmk = c_MK(M, d, eps, lat.t0)
     if not cmk.certainly_gt(RealInterval.exact(Fraction(M) ** d)):
-        warnings.append("c(M,K) not certifiably above M^d; raise precision")
+        warnings.append("c(M,K) not certifiably above M^d")
     report = ConstantsReport(
         field_label=label,
         abs_disc=abs(field.field_disc),
         signature=field.signature,
-        minkowski_bound=minkowski_bound(field, prec),
+        minkowski_bound=minkowski_bound(field),
         c_field=cf,
         M=M,
         epsilon=eps,
@@ -215,5 +212,5 @@ def compute_constants(
         warnings=warnings,
     )
     for q in epsilon_prime_samples or []:
-        report.epsilon_prime_at.append((q, epsilon_prime(q, M, d, eps, lat.t0, prec)))
+        report.epsilon_prime_at.append((q, epsilon_prime(q, M, d, eps, lat.t0)))
     return report

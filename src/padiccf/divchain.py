@@ -242,7 +242,6 @@ def clw_expand(
     units,
     gamma: NFElement | None = None,
     caps: CLWCaps | None = None,
-    prec: int = 128,
 ) -> DivisionChain:
     """Terminating division chain of length <= 5 for coprime a, b in O_S.
 
@@ -262,7 +261,7 @@ def clw_expand(
     if gamma is None:
         from .ideals import principal_generator
 
-        gamma = principal_generator(P, units, prec=prec)
+        gamma = principal_generator(P, units)
     if not (ring.contains(a) and ring.contains(b)):
         raise ValueError("a and b must be S-integers")
     if not _coprime_in_os(a, b, ring):

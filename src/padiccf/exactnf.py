@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DiscMismatch, DivideByZero, NotIrreducible
-from .intervals import ComplexInterval, RealInterval, eval_poly_interval
+from .intervals import DEFAULT_PREC, ComplexInterval, RealInterval, eval_poly_interval
 from .rootfinding import (
     certified_roots,
     count_real_roots,
@@ -24,8 +24,6 @@ from .rootfinding import (
     poly_trim,
     poly_xgcd,
 )
-
-DEFAULT_PREC = 128
 
 
 def _as_fraction_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -347,14 +345,14 @@ class NFElement:
             return ComplexInterval.exact(self.coords[0])
         return eval_poly_interval(list(self.coords), root, prec)
 
-    def float_minkowski(self, prec: int = DEFAULT_PREC) -> list[float]:
+    def float_minkowski(self) -> list[float]:
         """Floats of the Minkowski vector of x: the midpoint of sigma(x) for each
         real embedding, then sqrt(2) Re and sqrt(2) Im of sigma(x) for each
         upper-half-plane embedding (the first of each conjugate pair)."""
         r1 = self.field.signature[0]
         vec: list[float] = []
         for i in self.field.minkowski_places():
-            e = self.embed(i, prec)
+            e = self.embed(i)
             if i < r1:
                 vec.append(float(e.re.midpoint()))
             else:
@@ -369,7 +367,7 @@ class NFElement:
 # heights
 
 
-def weil_height_pow_d(x: NFElement, prec: int = DEFAULT_PREC) -> RealInterval:
+def weil_height_pow_d(x: NFElement) -> RealInterval:
     """Certified enclosure of H(x)^d.
 
     Factored as N(denominator ideal) times the product over all d complex
@@ -385,9 +383,9 @@ def weil_height_pow_d(x: NFElement, prec: int = DEFAULT_PREC) -> RealInterval:
     den_norm = denominator_ideal_norm(x)
     arch = RealInterval.exact(1)
     for i in range(field.degree):
-        emb = x.embed(i, prec)
-        arch = (arch * emb.abs_interval(prec).max_with(1)).rounded(prec + 16)
-    return (arch * den_norm).rounded(prec + 16)
+        emb = x.embed(i)
+        arch = (arch * emb.abs_interval().max_with(1)).rounded(DEFAULT_PREC + 16)
+    return (arch * den_norm).rounded(DEFAULT_PREC + 16)
 
 
 def denominator_ideal_norm(x: NFElement) -> int:

@@ -39,7 +39,7 @@ def _parse_coords(vec) -> list[Fraction]:
     return [Fraction(str(x)) for x in vec]
 
 
-def load_field_data(data: dict, source: str = "", prec: int = 128) -> LoadedField:
+def load_field_data(data: dict, source: str = "") -> LoadedField:
     try:
         min_poly = [int(c) for c in data["min_poly"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -71,7 +71,7 @@ def load_field_data(data: dict, source: str = "", prec: int = 128) -> LoadedFiel
     torsion = int(data.get("torsion_order", 2))
     unit_system = UnitSystem(units=units, torsion_order=torsion)
     try:
-        log_lattice(field, unit_system, prec)  # validates |N|=1 + independence
+        log_lattice(field, unit_system)  # validates |N|=1 + independence
     except Exception as exc:
         raise FieldSpecError(f"unit validation failed: {exc}") from exc
     bedocchi = data.get("bedocchi")
@@ -93,13 +93,13 @@ def load_field_data(data: dict, source: str = "", prec: int = 128) -> LoadedFiel
     )
 
 
-def load_field_file(path: str | Path, prec: int = 128) -> LoadedField:
+def load_field_file(path: str | Path) -> LoadedField:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FieldSpecError(f"cannot read field file {path}: {exc}") from exc
-    return load_field_data(data, source=str(path), prec=prec)
+    return load_field_data(data, source=str(path))
 
 
 def bundled_path(name: str) -> Path:
@@ -110,8 +110,8 @@ def bundled_path(name: str) -> Path:
         return Path(p)
 
 
-def load_bundled(name: str, prec: int = 128) -> LoadedField:
-    return load_field_file(bundled_path(name), prec=prec)
+def load_bundled(name: str) -> LoadedField:
+    return load_field_file(bundled_path(name))
 
 
 def bundled_table1_names() -> list[str]:

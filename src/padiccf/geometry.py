@@ -18,7 +18,7 @@ from math import isqrt
 
 from .errors import CertificationFailed, DependentBasis, ZeroElement
 from .exactnf import NFElement, NumberField
-from .intervals import RealInterval, exp_interval, log_interval
+from .intervals import DEFAULT_PREC, RealInterval, exp_interval, log_interval
 
 CERT_SLACK = Fraction(1, 1 << 40)
 
@@ -30,10 +30,6 @@ class UnitSystem:
     units: tuple[NFElement, ...]
     torsion_order: int = 2
 
-    @property
-    def rank(self) -> int:
-        return len(self.units)
-
 
 @dataclass(frozen=True)
 class LogLattice:
@@ -42,7 +38,7 @@ class LogLattice:
     t0: RealInterval
 
 
-def log_embedding(u: NFElement, prec: int = 128) -> list[RealInterval]:
+def log_embedding(u: NFElement, prec: int = DEFAULT_PREC) -> list[RealInterval]:
     """(log|sigma_1(u)|, ..., 2 log|tau_1(u)|, ...) in R^(r1+r2)."""
     if u.is_zero():
         raise ZeroElement("log embedding of zero")
@@ -70,7 +66,7 @@ def _max_abs(vals: list[RealInterval]) -> RealInterval:
     return acc
 
 
-def covering_radius_upper(basis: list[list[RealInterval]], prec: int = 128) -> RealInterval:
+def covering_radius_upper(basis: list[list[RealInterval]], prec: int = DEFAULT_PREC) -> RealInterval:
     """(1/2) * sum of sup-norms of the basis vectors.
 
     Valid upper bound for the sup-norm covering radius of the lattice; exact
@@ -118,10 +114,10 @@ def _interval_det(mat: list[list[RealInterval]]) -> RealInterval:
     return det
 
 
-def log_lattice(field: NumberField, units: UnitSystem, prec: int = 128) -> LogLattice:
+def log_lattice(field: NumberField, units: UnitSystem) -> LogLattice:
     """Validated log-unit lattice with covering-radius bound and T0, computed
-    once per (units, prec) and kept in the field's per-field cache."""
-    cache_key = ("log_lattice", units, prec)
+    once per units and kept in the field's per-field cache."""
+    cache_key = ("log_lattice", units)
     cached = field._prime_cache.get(cache_key)
     if cached is not None:
         return cached
@@ -133,14 +129,14 @@ def log_lattice(field: NumberField, units: UnitSystem, prec: int = 128) -> LogLa
     for u in units.units:
         if abs(u.norm()) != 1:
             raise ValueError(f"unit candidate {u} has |N| = {abs(u.norm())} != 1")
-    basis = [log_embedding(u, prec) for u in units.units]
-    tol = Fraction(1, 1 << (prec // 2))
+    basis = [log_embedding(u) for u in units.units]
+    tol = Fraction(1, 1 << (DEFAULT_PREC // 2))
     for vec in basis:
         s = sum(vec, RealInterval.exact(0))  # complex coordinates already carry the 2
         if not (abs(s.lo) <= tol and abs(s.hi) <= tol):
             raise ValueError("unit log vector is not in the trace-zero hyperplane")
-    rho = covering_radius_upper(basis, prec) if basis else RealInterval.exact(0)
-    t0_iv = t0_from_rho(rho, prec)
+    rho = covering_radius_upper(basis) if basis else RealInterval.exact(0)
+    t0_iv = t0_from_rho(rho)
     lattice = LogLattice(
         basis=tuple(tuple(v) for v in basis),
         covering_radius_upper=rho,
@@ -150,17 +146,13 @@ def log_lattice(field: NumberField, units: UnitSystem, prec: int = 128) -> LogLa
     return lattice
 
 
-def t0_from_rho(rho: RealInterval, prec: int = 128) -> RealInterval:
-    rho_cert = RealInterval(rho.lo, rho.hi + CERT_SLACK)
-    return exp_interval(rho_cert, prec)
-
-
-def t0(field: NumberField, units: UnitSystem, prec: int = 128) -> RealInterval:
+def t0_from_rho(rho: RealInterval) -> RealInterval:
     """T0 = exp(rho_hat); the certification slack is folded into rho_hat."""
-    return log_lattice(field, units, prec).t0
+    rho_cert = RealInterval(rho.lo, rho.hi + CERT_SLACK)
+    return exp_interval(rho_cert)
 
 
-def unit_reduce(a: NFElement, units: UnitSystem, prec: int = 128) -> NFElement:
+def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
     """Multiply a by a unit so every |sigma(u*a)| <= T0 * |N(a)|^(1/d).
 
     The balanced log vector of a is rounded to the nearest lattice vector
@@ -176,10 +168,8 @@ def unit_reduce(a: NFElement, units: UnitSystem, prec: int = 128) -> NFElement:
     if r == 0:
         return a
 
-    max_prec = prec * 8
-
-    working = prec
-    while working <= max_prec:
+    working = DEFAULT_PREC
+    while working <= 8 * DEFAULT_PREC:
         basis = [log_embedding(u, working) for u in units.units]
         rho = covering_radius_upper(basis, working)
         rho_limit_hi = rho.hi + CERT_SLACK

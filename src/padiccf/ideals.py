@@ -703,12 +703,10 @@ def _lll_reduce_rows(rows: list[list[int]], embed_rows: list[list[float]]) -> li
     return coords
 
 
-def principal_generator(
-    P: PrimeIdealData,
-    units=None,
-    search_bound: int = 6,
-    prec: int = 128,
-) -> NFElement:
+GENERATOR_SEARCH_RADIUS = 6  # coefficient radius of principal_generator's search
+
+
+def principal_generator(P: PrimeIdealData, units=None) -> NFElement:
     """Search a generator gamma of a principal prime P.
 
     Short vectors of the ideal lattice are enumerated after LLL reduction of
@@ -718,15 +716,15 @@ def principal_generator(
     """
     field = P.field
     d = field.degree
-    key = ("generator", id(units), search_bound)
+    key = ("generator", units)
     if key in P._power_cache:
         return P._power_cache[key]
     rows = [list(r) for r in P.as_ideal.hnf]
-    embed_rows = [b.float_minkowski(prec) for b in P.as_ideal.basis_elements()]
+    embed_rows = [b.float_minkowski() for b in P.as_ideal.basis_elements()]
     reduced = _lll_reduce_rows(rows, embed_rows)
 
     target = Fraction(P.norm)
-    for radius in range(1, search_bound + 1):
+    for radius in range(1, GENERATOR_SEARCH_RADIUS + 1):
         for combo in product(range(-radius, radius + 1), repeat=d):
             if max(abs(c) for c in combo) != radius:
                 continue
@@ -738,7 +736,7 @@ def principal_generator(
                 if units is not None:
                     from . import geometry
 
-                    g = geometry.unit_reduce(g, units, prec=prec)
+                    g = geometry.unit_reduce(g, units)
                 for c in g.coords:
                     if c != 0:
                         if c < 0:
@@ -747,8 +745,8 @@ def principal_generator(
                 P._power_cache[key] = g
                 return g
     raise SearchExhausted(
-        f"no generator of norm {P.norm} within coefficient radius {search_bound}; "
-        "raise the bound or supply a generator in the field file"
+        f"no generator of norm {P.norm} within coefficient radius {GENERATOR_SEARCH_RADIUS}; "
+        "supply one with --prime-gen or as the gamma argument of make_representative_type"
     )
 
 

@@ -39,7 +39,7 @@ def lf14():
 
 @pytest.fixture(scope="module")
 def lat14(lf14):
-    return G.log_lattice(lf14.field, lf14.units, 128)
+    return G.log_lattice(lf14.field, lf14.units)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def big_prime_types(lf14):
 
 def test_criterion_1_qsqrt14_constants(lf14):
     start = time.monotonic()
-    rep = C.compute_constants(lf14.field, lf14.units, label=lf14.label, prec=128)
+    rep = C.compute_constants(lf14.field, lf14.units, label=lf14.label)
     elapsed = time.monotonic() - start
     assert rep.M == 28
     assert abs(float(rep.epsilon.lo) - 0.516973) < 5e-7
@@ -72,7 +72,6 @@ def test_criterion_2_bedocchi_refinement(lf14):
         lf14.field, lf14.units,
         M_override=lf14.bedocchi["M"],
         epsilon_override=lf14.bedocchi["epsilon"],
-        prec=128,
     )
     elapsed = time.monotonic() - start
     assert rep.M == 2 and rep.epsilon.lo == F(31, 32)
@@ -106,7 +105,7 @@ def test_criterion_3_table1_m_column():
     # for rank-2 lattices is not pinned by the source material)
     for i in range(1, 8):
         lf = load_bundled(f"table1/row{i}.json")
-        rep = C.compute_constants(lf.field, lf.units, prec=128)
+        rep = C.compute_constants(lf.field, lf.units)
         dev = float(rep.c_MK.hi) / lf.c_mk_reference - 1
         deviations.append(f"row{i}: {dev:+.2%}")
     _report(3, f"all 7 M values match ({elapsed:.2f}s); c(M,K) deviations: "
@@ -188,7 +187,7 @@ def test_criterion_6_height_ledger(big_prime_types):
     assert _criterion5_expansions, "criterion 5 must run first"
     checked = 0
     for exp in _criterion5_expansions:
-        ok, margins = CF.check_height_chain(exp, 128)
+        ok, margins = CF.check_height_chain(exp)
         assert ok
         checked += len(margins)
     _report(6, f"H(alpha_n+1)^d <= C*nubar^n certified on {checked} ledger steps "

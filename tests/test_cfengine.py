@@ -292,7 +292,7 @@ def test_representative_expansion_and_nu_bound(rep_type_14, k14, units14):
     prime = rep_type_14.prime
     floor = rep_type_14.floor
     epsp = epsilon_prime(prime.norm, floor.M, 2, floor.epsilon,
-                         G.log_lattice(k14, units14, 128).t0)
+                         G.log_lattice(k14, units14).t0)
     assert epsp.hi < 1
     rng = random.Random(71)
     for _ in range(5):

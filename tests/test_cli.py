@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -125,6 +126,39 @@ def test_expand_golden(capsys):
     assert out["status"] == ["finite", 3]
     assert out["partial_quotients"] == ["-1", "-11/5", "2/5"]
     assert out["roundtrip_exact"] is True
+
+
+# sha256 of stdout for JSON reports over fields of degree > 1: a changed
+# partial quotient, interval endpoint or report key changes the digest
+GOLDEN_STDOUT_SHA256 = {
+    "expand qsqrt14 --prime 48953 --alpha 1/3,2/7 --floor representative --json":
+        "c7042e273ca7c846d9eda3ae6892f8a3d9bef3712d74e41297fb3a56e2f2e64c",
+    "constants qz3 --json":
+        "9b3e1d126e6d9d507560a099ab157d86b03c44ecec70c0453bf3a15917a9ed84",
+    "verify-floor qsqrt14 --prime 48953 --floor representative --samples 5 --seed 1 --json":
+        "7d6e70a8330c949530e9e677abfc257c8ca750fa3328a305b3705f2b4a25da8b",
+    "verify-type qz3 --prime 1009 --floor representative --samples 3 --seed 1 --json":
+        "d23528a3fc134bb00a603dda7e99f56c1b97158da5945f8b96c9f238d6e7e7c6",
+    "divchain qsqrt14 --a 7 --b 3 --S 5 --json":
+        "7263838bf15195f8f66819b5cd9c15d0c4294123c0fc8dcc85d03674c8de4aa8",
+    "expand qz3 --prime 1009 --alpha 1/3,2/7,5 --floor representative --json":
+        "72d1ca510af92fbdfb6bc21de17104c02eff2e25c344b5e79b28802c49b5b34d",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT_SHA256))
+def test_reports_byte_identical(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("argv", [["--precision", "128", "constants", "qq"],
+                                  ["constants", "qq", "--precision", "128"]])
+def test_precision_is_not_an_option(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_expand_json_deterministic():

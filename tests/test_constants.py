@@ -21,7 +21,7 @@ def k14():
 @pytest.fixture(scope="module")
 def lat14(k14):
     units = G.UnitSystem(units=(G.fundamental_unit_real_quadratic(k14),))
-    return G.log_lattice(k14, units, 128)
+    return G.log_lattice(k14, units)
 
 
 def test_theta_examples():
@@ -36,7 +36,7 @@ def test_theta_bounds_1000_randoms():
     rng = random.Random(23)
     for _ in range(1000):
         x = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
-        t = C.theta(x, 64)
+        t = C.theta(x)
         assert t.hi >= abs(x) and t.lo <= abs(x) + 1
         assert t.lo >= abs(x) - F(1, 1 << 48)
         assert t.hi <= abs(x) + 1 + F(1, 1 << 48)
@@ -114,8 +114,17 @@ def test_c_mk_exceeds_m_pow_d():
         M = rng.randint(2, 60)
         eps = RealInterval.exact(F(rng.randint(1, 99), 100))
         t0 = RealInterval.exact(F(rng.randint(100, 900), 100))
-        cmk = C.c_MK(M, d, eps, t0, 96)
+        cmk = C.c_MK(M, d, eps, t0)
         assert cmk.lo > F(M) ** d
+
+
+def test_c_mk_escalates_precision():
+    """With eps = 1 - 2^-200 the root in c(M,K) is 1 + ~2^-200/T0^2, which
+    128 bits cannot separate from 1; c_MK retries at doubled precision."""
+    eps = RealInterval.exact(1 - F(1, 2 ** 200))
+    cmk = C.c_MK(2, 2, eps, RealInterval.exact(F(11, 2)))
+    assert abs(cmk.hi / (121 * F(2) ** 400) - 1) < F(1, 10 ** 9)
+    assert cmk.lo > 4
 
 
 def test_epsilon_prime_behavior(k14, lat14):

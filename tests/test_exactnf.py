@@ -194,7 +194,7 @@ def test_height_rational_formula(a, b):
 
 
 def test_height_sqrt14(k14):
-    h = weil_height_pow_d(k14.generator(), 128)
+    h = weil_height_pow_d(k14.generator())
     assert h.contains(14)
     assert h.width() < F(1, 1 << 64)
 
@@ -233,11 +233,11 @@ def test_product_formula(coords):
 def test_height_inversion_invariance(k14):
     """H(1/x) = H(x); exercises denominator norms at ramified primes."""
     x = k14.generator()  # sqrt14; 1/sqrt14 has denominators at 2 and 7, both ramified
-    h_inv = weil_height_pow_d(x.inverse(), 128)
+    h_inv = weil_height_pow_d(x.inverse())
     assert h_inv.contains(14) and h_inv.width() < F(1, 1 << 64)
 
 
 def test_height_root_of_unity_exact(gauss_field):
     i = gauss_field.generator()
-    h = weil_height_pow_d(i, 96)
+    h = weil_height_pow_d(i)
     assert h.is_exact() and h.lo == 1

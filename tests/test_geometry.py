@@ -57,7 +57,7 @@ def test_log_embedding_homomorphism(k14):
 
 
 def test_covering_radius_examples(k14, units14):
-    lat = G.log_lattice(k14, units14, 128)
+    lat = G.log_lattice(k14, units14)
     rho = lat.covering_radius_upper
     assert F(16999, 10000) <= rho.lo and rho.hi <= F(17001, 10000)
     rk1 = G.covering_radius_upper([[RealInterval.exact(2), RealInterval.exact(-2)]])
@@ -84,11 +84,11 @@ def test_dependent_basis_rejected(k14):
 
 
 def test_t0_examples(k14, units14):
-    lat = G.log_lattice(k14, units14, 128)
+    lat = G.log_lattice(k14, units14)
     assert F(547, 100) <= lat.t0.lo and lat.t0.hi <= F(548, 100)
-    empty = G.t0_from_rho(RealInterval.exact(0), 64)
+    empty = G.t0_from_rho(RealInterval.exact(0))
     assert empty.lo >= 1 and float(empty.hi) < 1.0001
-    bigger = G.t0_from_rho(RealInterval.exact(2), 64)
+    bigger = G.t0_from_rho(RealInterval.exact(2))
     assert bigger.lo > lat.t0.hi  # monotone in rho
 
 
@@ -105,7 +105,7 @@ def test_unit_reduce_examples(k14, units14):
 def test_unit_reduce_lemma_bound(k14, units14):
     """Certified |sigma(u a)| <= T0 |N(a)|^(1/d) and unit invariance of N."""
     rng = random.Random(17)
-    lat = G.log_lattice(k14, units14, 128)
+    lat = G.log_lattice(k14, units14)
     fu = k14.element([15, 4])
     for _ in range(30):
         a = k14.element([
@@ -115,7 +115,7 @@ def test_unit_reduce_lemma_bound(k14, units14):
         if a.is_zero():
             continue
         a = a * fu ** rng.randint(-3, 3)
-        red = G.unit_reduce(a, units14, 128)
+        red = G.unit_reduce(a, units14)
         assert abs(red.norm()) == abs(a.norm())
         ratio = red / a
         assert abs(ratio.norm()) == 1
@@ -128,12 +128,12 @@ def test_unit_reduce_lemma_bound(k14, units14):
 def test_trace_zero_validation(k14):
     bad = G.UnitSystem(units=(k14.element([3, 1]),))  # norm -5, not a unit
     with pytest.raises(ValueError):
-        G.log_lattice(k14, bad, 96)
+        G.log_lattice(k14, bad)
 
 
 def test_rank_zero_fields():
     kq = new_field([0, 1])
-    lat = G.log_lattice(kq, G.UnitSystem(units=()), 96)
+    lat = G.log_lattice(kq, G.UnitSystem(units=()))
     assert lat.covering_radius_upper.lo == 0
     assert lat.t0.lo >= 1
     x = kq.from_rational(F(7, 2))
@@ -143,7 +143,7 @@ def test_rank_zero_fields():
 def test_unit_reduce_in_generator_pipeline(k14, units14):
     for q in degree_one_primes_above(k14, 48896, 2):
         g = principal_generator(q, units14)
-        lat = G.log_lattice(k14, units14, 128)
+        lat = G.log_lattice(k14, units14)
         bound = lat.t0 * nth_root_interval(abs(g.norm()), 2, 128)
         for i in range(2):
             assert g.embed(i, 128).abs_interval(128).lo <= bound.hi

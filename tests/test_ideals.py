@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiccf import ideals as I
-from padiccf.errors import IndexDivisor, NotIntegralAtI, ZeroValuation
+from padiccf.errors import IndexDivisor, NotIntegralAtI, SearchExhausted, ZeroValuation
 from padiccf.exactnf import new_field
 from padiccf.geometry import UnitSystem, fundamental_unit_real_quadratic
 
@@ -286,6 +286,10 @@ def test_principal_generator_examples(k14, p5_split):
     assert g2 == k14.element([4, 1])
     g3 = I.principal_generator(I.primes_above(k14, 3)[0], units)
     assert g3 == k14.from_rational(3)
+    # (2, 1 + sqrt-5) is not principal: the error names the ways to supply gamma
+    p2 = I.primes_above(new_field([5, 0, 1]), 2)[0]
+    with pytest.raises(SearchExhausted, match="--prime-gen or as the gamma argument"):
+        I.principal_generator(p2)
 
 
 def test_degree_one_prime_scan(k14):
