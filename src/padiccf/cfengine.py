@@ -202,7 +202,7 @@ class RepresentativeFloor:
         raise SearchExhausted(
             f"no (j, tau) pair certified below epsilon "
             f"(best squared margin {best_margin}); the prime may be too small "
-            "for this M or the precision too low"
+            "for this M"
         )
 
     def _float_rejects(self, nums: list[int], dens: list[int], eps_hi: float) -> float | None:

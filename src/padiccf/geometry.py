@@ -157,23 +157,27 @@ def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
 
     The balanced log vector of a is rounded to the nearest lattice vector
     (coefficient rounding plus a +-1 neighborhood), and the result is
-    certified against the covering-radius bound.
+    certified against the covering-radius bound.  The first round uses the
+    field's cached log lattice; escalation rounds recompute it.
     """
     if a.is_zero():
         raise ZeroElement("unit_reduce of zero")
     field = a.field
     r = len(units.units)
-    rho_limit_hi = None  # computed lazily below
-
     if r == 0:
         return a
 
     working = DEFAULT_PREC
     while working <= 8 * DEFAULT_PREC:
-        basis = [log_embedding(u, working) for u in units.units]
-        rho = covering_radius_upper(basis, working)
+        if working == DEFAULT_PREC:
+            lattice = log_lattice(field, units)
+            basis, rho = lattice.basis, lattice.covering_radius_upper
+        else:
+            basis = [log_embedding(u, working) for u in units.units]
+            rho = covering_radius_upper(basis, working)
         rho_limit_hi = rho.hi + CERT_SLACK
-        b = _balanced_log(a, working)
+        log_norm = log_interval(abs(a.norm()), working)  # |N(u*a)| = |N(a)|
+        b = _balanced_log(a, working, log_norm)
         coeffs = _solve_lattice_coeffs(basis, b)
         if coeffs is None:
             working *= 2
@@ -184,13 +188,12 @@ def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
                 if radius and max(abs(o) for o in offset) != radius:
                     continue
                 n = [c + o for c, o in zip(center, offset)]
-                u = field.one()
+                candidate = a
                 for ui, ni in zip(units.units, n):
-                    u = u * ui ** (-ni)
-                candidate = u * a
-                w = _balanced_log(candidate, working)
-                sup = _max_abs(w)
-                if sup.hi <= rho_limit_hi:
+                    if ni:
+                        candidate = candidate * ui ** (-ni)
+                w = b if candidate is a else _balanced_log(candidate, working, log_norm)
+                if _max_abs(w).hi <= rho_limit_hi:
                     return candidate
         working *= 2
     raise CertificationFailed(
@@ -199,15 +202,13 @@ def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
     )
 
 
-def _balanced_log(a: NFElement, prec: int) -> list[RealInterval]:
-    """ell(a) - (log|N(a)|/d) * (1,..,1,2,..,2), one coordinate per place."""
-    field = a.field
-    r1, r2 = field.signature
-    d = field.degree
-    vec = log_embedding(a, prec)
-    log_norm = log_interval(abs(a.norm()), prec)
+def _balanced_log(a: NFElement, prec: int, log_norm: RealInterval) -> list[RealInterval]:
+    """ell(a) - (log|N(a)|/d) * (1,..,1,2,..,2), one coordinate per place;
+    log_norm encloses log|N(a)|."""
+    r1 = a.field.signature[0]
+    d = a.field.degree
     out = []
-    for i, v in enumerate(vec):
+    for i, v in enumerate(log_embedding(a, prec)):
         weight = Fraction(1 if i < r1 else 2, d)
         out.append((v - log_norm * weight).rounded(prec + 16))
     return out

@@ -6,10 +6,12 @@ triangular HNF, positive diagonal, entries above a pivot reduced into
 [0, pivot)) together with a positive integer denominator.  All operations are
 exact.  Primes above p are produced by Dedekind-Kummer factorization of the
 minimal polynomial mod p, valid because primes dividing the index
-[O_K : Z[alpha]] are rejected.
+[O_K : Z[alpha]] are rejected; the factorization mod p is computed here
+(squarefree, distinct-degree, then Cantor-Zassenhaus equal-degree splitting).
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
@@ -296,6 +298,142 @@ def principal_ideal(x: NFElement) -> FractionalIdeal:
 
 
 # ---------------------------------------------------------------------------
+# polynomials over F_p: coefficient lists, lowest degree first, entries in
+# [0, p), no trailing zeros (the zero polynomial is [])
+
+
+def _fp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fp_trim([c % p for c in out])
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b != 0."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % p
+        q[k] = c
+        if c:
+            for j in range(db + 1):
+                r[k + j] = (r[k + j] - c * b[j]) % p
+    return _fp_trim(q), _fp_trim(r[:db])
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m, for m of degree >= 1."""
+    result, a = [1], _fp_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = _fp_divmod(_fp_mul(result, a, p), m, p)[1]
+        e >>= 1
+        if e:
+            a = _fp_divmod(_fp_mul(a, a, p), m, p)[1]
+    return result
+
+
+def _fp_squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(g, m) with f = prod g^m for monic f, each g monic, squarefree and
+    coprime to the others (Cohen, GTM 138, section 3.4)."""
+    out = []
+    c = _fp_gcd(f, _fp_trim([i * x % p for i, x in enumerate(f)][1:]), p)
+    w = _fp_divmod(f, c, p)[0]
+    i = 1
+    while len(w) > 1:
+        y = _fp_gcd(w, c, p)
+        fac = _fp_divmod(w, y, p)[0]
+        if len(fac) > 1:
+            out.append((fac, i))
+        w, c = y, _fp_divmod(c, y, p)[0]
+        i += 1
+    if len(c) > 1:  # c = r^p with r = sum c_{kp} x^k, as a^p = a in F_p
+        out += [(g, m * p) for g, m in _fp_squarefree(c[::p], p)]
+    return out
+
+
+def _fp_distinct_degree(g: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(h, k): h the product of the irreducible factors of degree k of the
+    squarefree monic g."""
+    out = []
+    x = [0, 1]
+    h = x
+    k = 0
+    while len(g) - 1 >= 2 * (k + 1):
+        k += 1
+        h = _fp_powmod(h, p, g, p)  # x^(p^k) mod g
+        d = _fp_gcd(g, _fp_sub(h, x, p), p)
+        if len(d) > 1:
+            out.append((d, k))
+            g = _fp_divmod(g, d, p)[0]
+            h = _fp_divmod(h, g, p)[1]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
+    return out
+
+
+def _fp_equal_degree(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The irreducible factors of g, a product of distinct monic irreducibles
+    of degree k (Cantor-Zassenhaus; the trace map to F_2 for p = 2)."""
+    n = len(g) - 1
+    if n == k:
+        return [g]
+    while True:
+        a = _fp_trim([rng.randrange(p) for _ in range(n)])
+        if p == 2:  # a + a^2 + ... + a^(2^(k-1)) is 0 or 1 modulo each factor
+            b = t = a
+            for _ in range(k - 1):
+                t = _fp_divmod(_fp_mul(t, t, p), g, p)[1]
+                b = _fp_sub(b, t, p)  # = b + t in characteristic 2
+        else:
+            b = _fp_sub(_fp_powmod(a, (p ** k - 1) // 2, g, p), [1], p)
+        d = _fp_gcd(g, b, p)
+        if 0 < len(d) - 1 < n:
+            rest = _fp_divmod(g, d, p)[0]
+            return _fp_equal_degree(d, k, p, rng) + _fp_equal_degree(rest, k, p, rng)
+
+
+def factor_mod_p(coeffs, p: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """The monic irreducible factors of a monic integer polynomial (lowest
+    degree first) over F_p, as sorted (degree, coefficients in [0, p),
+    multiplicity) triples.  The factorization is unique, so the fixed-seed
+    random choices of the splitting step do not show in the result."""
+    rng = random.Random(0)
+    entries = []
+    for g, m in _fp_squarefree([int(c) % p for c in coeffs], p):
+        for h, k in _fp_distinct_degree(g, p):
+            entries += [(k, tuple(q), m) for q in _fp_equal_degree(h, k, p, rng)]
+    return sorted(entries)
+
+
+# ---------------------------------------------------------------------------
 # primes above p
 
 
@@ -357,18 +495,7 @@ def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
     if field.index % p == 0:
         raise IndexDivisor(f"prime {p} divides the index [O_K : Z[alpha]] = {field.index}")
     d = field.degree
-    if d == 1:  # a linear min_poly is its own factorization mod p
-        entries = [(1, (field.min_poly[0] % p, 1), 1)]
-    else:
-        import sympy
-
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed(field.min_poly)), x, modulus=p, symmetric=False)
-        entries = []
-        for fac, mult in poly.factor_list()[1]:
-            coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
-            entries.append((len(coeffs) - 1, tuple(coeffs), mult))
-        entries.sort()
+    entries = factor_mod_p(field.min_poly, p)
     basis = whole_ring(field).basis_elements()
     out = []
     for deg, coeffs, mult in entries:

@@ -207,7 +207,7 @@ def test_evaluate_command(capsys):
 
 
 COLD_START = """
-import contextlib, io, sys
+import contextlib, hashlib, io, sys
 heavy = ("sympy", "numpy", "mpmath")
 import padiccf.cli
 print(*[m for m in heavy if m in sys.modules])
@@ -218,19 +218,27 @@ for argv in (["field-info", "qsqrt14"], ["constants", "qsqrt14", "--json"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert padiccf.cli.main(argv) == 0, argv
 print(*[m for m in heavy if m in sys.modules])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert padiccf.cli.main(sys.argv[1:]) == 0
+print(hashlib.sha256(out.getvalue().encode()).hexdigest(), *[m for m in heavy if m in sys.modules])
 """
 
 
 def test_cold_start_imports_no_sympy_or_numpy():
-    """A fresh `import padiccf.cli` loads neither sympy, numpy nor mpmath, and
+    """A fresh `import padiccf.cli` loads neither sympy, numpy nor mpmath;
     these commands (over Q and the totally real Q(sqrt14)) load neither sympy
-    nor numpy."""
-    proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
-                          timeout=600)
+    nor numpy, and an expansion at a large prime of Q(sqrt14) loads no sympy
+    and prints its golden report."""
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *Q14_LARGE], capture_output=True,
+                          text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_commands = proc.stdout.splitlines()
+    after_import, after_commands, after_expand = proc.stdout.splitlines()
     assert after_import == ""
     assert "sympy" not in after_commands.split() and "numpy" not in after_commands.split()
+    digest, *loaded = after_expand.split()
+    assert digest == GOLDEN_STDOUT_SHA256[" ".join(Q14_LARGE)]
+    assert "sympy" not in loaded
 
 
 def test_input_error_exit_code():
@@ -270,6 +278,7 @@ def test_prime_gen_selection(capsys):
     # under --json the error object keeps the inputs and the warning that explains it
     error = json.loads(captured.out)
     assert error["error"].startswith("search exhausted: ")
+    assert "precision" not in error["error"]  # fixed, and doubled by the certification
     assert error["inputs"]["prime_gen"] == "3,1"
     assert any("N(P) = 5 is not above c(M,K)" in w for w in error["warnings"])
     # 48953 splits as (263+38sqrt14)(263-38sqrt14); the second generator picks

@@ -6,8 +6,9 @@ import pytest
 from padiccf import geometry as G
 from padiccf.errors import DependentBasis, ZeroElement
 from padiccf.exactnf import new_field
+from padiccf.fieldspec import load_bundled
 from padiccf.ideals import degree_one_primes_above, principal_generator
-from padiccf.intervals import RealInterval, log_interval, nth_root_interval
+from padiccf.intervals import DEFAULT_PREC, RealInterval, log_interval, nth_root_interval
 
 F = Fraction
 
@@ -123,6 +124,28 @@ def test_unit_reduce_lemma_bound(k14, units14):
         for i in range(2):
             mag = red.embed(i, 128).abs_interval(128)
             assert mag.lo <= bound.hi
+
+
+def test_unit_reduce_embeds_no_unit(monkeypatch):
+    """At the working precision unit_reduce takes the units' log vectors from
+    the log lattice that loading the field cached, and embeds no unit."""
+    calls = []
+    original = G.log_embedding
+
+    def counting(u, prec=DEFAULT_PREC):
+        calls.append(u)
+        return original(u, prec)
+
+    monkeypatch.setattr(G, "log_embedding", counting)
+    rng = random.Random(3)
+    for name in ("qsqrt14.json", "qz3.json", "table1/row1.json", "table1/row5.json"):
+        lf = load_bundled(name)
+        calls.clear()
+        for _ in range(6):
+            a = lf.field.element([rng.randint(-20, 20) for _ in range(lf.field.degree)])
+            if not a.is_zero():
+                G.unit_reduce(a, lf.units)
+        assert calls and not any(u in lf.units.units for u in calls), name
 
 
 def test_trace_zero_validation(k14):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padiccf import ideals as I
 from padiccf.errors import IndexDivisor, NotIntegralAtI, SearchExhausted, ZeroValuation
 from padiccf.exactnf import new_field
+from padiccf.fieldspec import load_bundled
 from padiccf.geometry import UnitSystem, fundamental_unit_real_quadratic
 
 F = Fraction
@@ -48,6 +49,58 @@ def test_primes_above_linear_min_poly():
         (fac, mult), = sympy.Poly(list(reversed(min_poly)), x, modulus=p, symmetric=False).factor_list()[1]
         assert (q.e, q.f, q.factor_poly) == (mult, 1, tuple(int(c) % p for c in reversed(fac.all_coeffs())))
         assert q.norm == p and I.valuation(k.from_rational(p), q) == 1
+
+
+def _sympy_factors(coeffs, p):
+    """factor_mod_p's triples computed by sympy, the test oracle."""
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p, symmetric=False)
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        c = tuple(int(x) % p for x in reversed(fac.all_coeffs()))
+        out.append((len(c) - 1, c, mult))
+    return sorted(out)
+
+
+_rng = random.Random(29)
+LARGE_PRIMES = [sympy.nextprime(_rng.randrange(2000, 10 ** _rng.randint(4, 13))) for _ in range(200)]
+
+
+@pytest.mark.parametrize("name", ["qsqrt14.json", "qz3.json"]
+                         + [f"table1/row{i}.json" for i in range(1, 8)])
+def test_primes_above_matches_sympy_factorization(name):
+    k = load_bundled(name).field
+    for p in list(sympy.primerange(2000)) + LARGE_PRIMES:
+        if k.index % p == 0:
+            continue
+        found = [(q.f, q.factor_poly, q.e) for q in I.primes_above(k, p)]
+        assert found == _sympy_factors(k.min_poly, p), p
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 10007, 4294967311, 2626003081987]),
+    st.lists(st.tuples(st.lists(st.integers(0, 10 ** 13), min_size=1, max_size=4),
+                       st.integers(1, 3)), min_size=1, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+)
+def test_factor_mod_p_matches_sympy(p, parts, lifts):
+    """Monic products of small factors raised to powers (repeated factors mod
+    p, and p <= d), with coefficients shifted by multiples of p."""
+    f = [1]
+    for low, mult in parts:
+        for _ in range(mult):
+            f = _poly_mul(f, [c % p for c in low] + [1])
+    assume(2 <= len(f) - 1 <= 8)
+    f = [c + p * s for c, s in zip(f[:-1], lifts)] + [1]
+    assert I.factor_mod_p(f, p) == _sympy_factors(f, p)
 
 
 # the least strong pseudoprimes to the first 9 (also 10 and 11), 12 and 13
@@ -290,6 +343,30 @@ def test_principal_generator_examples(k14, p5_split):
     p2 = I.primes_above(new_field([5, 0, 1]), 2)[0]
     with pytest.raises(SearchExhausted, match="--prime-gen or as the gamma argument"):
         I.principal_generator(p2)
+
+
+# gamma = principal_generator(P, units) at the first degree-one prime above p;
+# gamma fixes the representative floor at P, so a changed value moves reports
+GENERATORS = {
+    ("qsqrt14.json", 48953): "263,38",
+    ("qsqrt14.json", 48989): "369,115",
+    ("qsqrt14.json", 48991): "347,110",
+    ("table1/row1.json", 40926439): "361,-208,-109",
+    ("table1/row2.json", 187030603): "787,267,-477",
+    ("table1/row3.json", 2446455061): "1449,1318,-784",
+    ("table1/row4.json", 2626003081987): "39261,3362,-8092",
+    ("table1/row5.json", 208540588079): "870,-13,-2,151",
+    ("table1/row6.json", 1063633253941): "725,-203,409,236",
+    ("table1/row7.json", 424088764133): "780,-55,222,564",
+}
+
+
+@pytest.mark.parametrize("name,p", list(GENERATORS))
+def test_principal_generator_pinned(name, p):
+    lf = load_bundled(name)
+    q = next(q for q in I.primes_above(lf.field, p) if q.e == 1 and q.f == 1)
+    gamma = I.principal_generator(q, lf.units)
+    assert ",".join(str(c) for c in gamma.coords) == GENERATORS[name, p]
 
 
 def test_degree_one_prime_scan(k14):
