@@ -8,6 +8,7 @@ valuations) and detecting termination or exact periodicity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .errors import (
     SearchExhausted,
     ZeroDenominator,
 )
-from .exactnf import NFElement, NumberField, denominator_ideal_norm, weil_height_pow_d
+from .exactnf import NFElement, NumberField, _mat_inverse, denominator_ideal_norm, weil_height_pow_d
 from .ideals import (
     PrimeIdealData,
     SIntegerRing,
@@ -118,7 +119,10 @@ class RepresentativeFloor:
         4.2): the largest entry of the residual B @ N - I, exact over the
         floats, plus N's largest column sum times D + gamma_d (G + D),
         where D = 3/2 (H + radius + 4u(G + H)) covers the Horner half-width H,
-        the float midpoints and the sqrt(2) scaling; G >= |sigma(b_k)|, u = 2^-53."""
+        the float midpoints and the sqrt(2) scaling; G >= |sigma(b_k)|, u = 2^-53.
+        And the reach R_k * 2^32 = ceil(2^32 epsilon.hi sum_sigma |sigma(b_k^v)|.hi), b^v
+        the trace-dual basis: u has coordinates x_k = Tr(u b_k^v) = sum_sigma sigma(u)
+        sigma(b_k^v), so every |sigma(u)| < epsilon gives |x_k| < R_k."""
         if self._places is None:
             import numpy as np
 
@@ -148,6 +152,11 @@ class RepresentativeFloor:
             dv = Fraction(3, 2) * (half + radius + 4 * u * (g + half))
             col = max(sum(abs(row[k]) for row in N) for k in range(d))
             self._center_k = resid + col * (dv + d * u / (1 - d * u) * (g + dv))
+            basis = self._basis  # Tr(b_i b_k) is symmetric, so the rows of its inverse give b^v
+            dual = _mat_inverse(tuple(tuple((a * b).trace() for b in basis) for a in basis))
+            self._reach = [math.ceil(self.epsilon.hi * 2 ** 32 * sum(
+                sqrt_interval(y.embed(i).abs_sq()).hi for i in range(d)))
+                for y in (sum((b * t for b, t in zip(basis, row)), field.zero()) for row in dual)]
 
     def _float_vector(self, x: NFElement) -> "np.ndarray":
         import numpy as np
@@ -173,36 +182,47 @@ class RepresentativeFloor:
         xi = alpha_prime * self._gamma_inv
         eps_sq = self.epsilon.square()
         eps_hi = float(eps_sq.hi) * (1 + 2.0 ** -40)
-        d = field.degree
         self._babai_data()
-        best_margin = None
+        margins, reached = [], False
         for j in range(1, self.M):
             if j % self.prime.p == 0:
                 continue  # j in P would break the coset condition
             jxi = xi * j
-            # u = j*xi - tau for tau = sum_k (center_k + offset_k) b_k has
-            # integral-basis coordinates (nums_k - offset_k * dens_k) / dens_k
+            # u = j*xi - tau has integral-basis coordinates (nums_k - tau_k * dens_k) / dens_k,
+            # and an accepted tau lies in the window |tau_k - c_k| <= R_k (_babai_data)
             coords = field.to_integral_coords(jxi)
+            nums, dens = [c.numerator for c in coords], [c.denominator for c in coords]
+            windows = [range(-((r * q - (n << 32)) // (q << 32)),
+                             ((n << 32) + r * q) // (q << 32) + 1)
+                       for n, q, r in zip(nums, dens, self._reach)]
+            survivors = []
+            for tau in itertools.product(*windows):
+                x = [n - t * q for n, t, q in zip(nums, tau, dens)]
+                margin = self._float_rejects(x, dens, eps_hi)
+                if margin is None:
+                    survivors.append((tau, x))
+                else:
+                    margins.append(margin)
+            if not survivors:
+                continue
+            reached = True
+            # certify by ring 0, 1, 2 around the centre, lexicographic within a ring (README)
             center = self._center(jxi, coords)
-            dens = [c.denominator for c in coords]
-            nums = [c.numerator - m * q for c, m, q in zip(coords, center, dens)]
-            for radius in (0, 1, 2):
-                for offset in itertools.product(range(-radius, radius + 1), repeat=d):
-                    if radius and max(abs(o) for o in offset) != radius:
-                        continue
-                    x = [n - o * q for n, o, q in zip(nums, offset, dens)]
-                    margin = self._float_rejects(x, dens, eps_hi)
-                    if margin is None:
-                        u = field.from_integral_coords([Fraction(n, q) for n, q in zip(x, dens)])
-                        verdict, margin = self._certify(u, eps_sq, prec)
-                        if verdict:
-                            return self.gamma * (u / j)
-                    if best_margin is None or (margin is not None and margin < best_margin):
-                        best_margin = margin
+            offsets = ((tuple(t - m for t, m in zip(tau, center)), x) for tau, x in survivors)
+            for ring, _, x in sorted((max(map(abs, o)), o, x) for o, x in offsets):
+                if ring > 2:
+                    break
+                u = field.from_integral_coords([Fraction(n, q) for n, q in zip(x, dens)])
+                verdict, margin = self._certify(u, eps_sq, prec)
+                if verdict:
+                    return self.gamma * (u / j)
+                if margin is not None:
+                    margins.append(margin)
         raise SearchExhausted(
-            f"no (j, tau) pair certified below epsilon "
-            f"(best squared margin {best_margin}); the prime may be too small "
-            "for this M"
+            "no (j, tau) pair certified below epsilon ("
+            + (f"best squared margin {min(margins, default=None)}" if margins or reached
+               else "no tau within the certified reach for any j")
+            + "); the prime may be too small for this M"
         )
 
     def _float_rejects(self, nums: list[int], dens: list[int], eps_hi: float) -> float | None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,8 +14,8 @@ from padiccf.constants import compute_constants
 from padiccf.errors import EvenPrime, FloorFailure, NotAdmissible, SearchExhausted, ZeroDenominator
 from padiccf.exactnf import new_field
 from padiccf.fieldspec import load_bundled
-from padiccf.ideals import degree_one_primes_above, primes_above, valuation
-from padiccf.intervals import RealInterval
+from padiccf.ideals import canonical_lift, degree_one_primes_above, primes_above, valuation
+from padiccf.intervals import DEFAULT_PREC, RealInterval
 
 F = Fraction
 
@@ -461,22 +462,150 @@ def test_exact_centre_equals_float_centre(place_floors, which, coords):
     assert floor._center(x, list(coords)) == [int(round(a)) for a in floats]
 
 
+def _window(floor, coords):
+    """The integer points tau with every |tau_k - c_k| <= R_k, from Fractions."""
+    reach = [F(r, 2 ** 32) for r in floor._reach]
+    return itertools.product(*(range(math.ceil(c - r), math.floor(c + r) + 1)
+                               for c, r in zip(coords, reach)))
+
+
+def _row6_fallback():
+    """Table1 row 6 at the first prime above c(M,K), and the sweep's row-6
+    step-1 complete quotient there."""
+    row = load_bundled("table1/row6.json")
+    prime = degree_one_primes_above(row.field, 1063633253940, 1)[0]
+    x = row.field.element([F(n, 663293397123400951) for n in (
+        2535978778998770, -967544141386200, 833487107294800, -911104628567350)])
+    return CF.make_representative_type(row.field, prime, row.units), x
+
+
 def test_centre_falls_back_on_huge_coordinates(monkeypatch):
     """Table1 row 6's step-1 complete quotient (the sweep's row-6 input at
     the first prime above c(M,K)): xi's coordinates are about 1.2e17, beyond
-    the proof, so every j takes the float centre, and the search ends
-    exhausted with the margin the float-centre search always gave."""
-    row = load_bundled("table1/row6.json")
-    prime = degree_one_primes_above(row.field, 1063633253940, 1)[0]
-    assert prime.p == 1063633253941
-    spec = CF.make_representative_type(row.field, prime, row.units)
-    x = row.field.element([F(n, 663293397123400951) for n in (
-        2535978778998770, -967544141386200, 833487107294800, -911104628567350)])
-    spec.floor._babai_data()
+    the proof, so every j whose certified window holds a float-filter
+    survivor (11 of the 21) takes the float centre, and the search ends
+    exhausted.  The survivor at the first of them is a pair that exact
+    certification accepts, 15 from the float centre: the exhaustion comes
+    from the float centre, not from the window."""
+    spec, x = _row6_fallback()
+    assert spec.prime.p == 1063633253941
+    field, floor = spec.field, spec.floor
+    floor._babai_data()
     float_centres = []
     float_vector = CF.RepresentativeFloor._float_vector
     monkeypatch.setattr(CF.RepresentativeFloor, "_float_vector",
                         lambda self, y: float_centres.append(y) or float_vector(self, y))
-    with pytest.raises(SearchExhausted, match=r"best squared margin 0\.004990974896340483\)"):
-        spec.floor.apply(x)
-    assert spec.floor.M == 22 and len(float_centres) == 21
+    with pytest.raises(SearchExhausted, match=r"best squared margin 0\.0016936075338438439\)"):
+        floor.apply(x)
+    assert floor.M == 22 and len(float_centres) == 11
+    monkeypatch.undo()
+    eps_sq = floor.epsilon.square()
+    survivors = []
+    for jxi in float_centres:
+        coords = field.to_integral_coords(jxi)
+        dens = [c.denominator for c in coords]
+        survivors.append([tau for tau in _window(floor, coords) if floor._float_rejects(
+            [c.numerator - t * q for c, t, q in zip(coords, tau, dens)], dens,
+            float(eps_sq.hi) * (1 + 2.0 ** -40)) is None])
+    assert all(survivors)
+    jxi, (tau,) = float_centres[0], survivors[0]
+    u = jxi - field.from_integral_coords(tau)
+    assert floor._certify(u, eps_sq, DEFAULT_PREC)[0]
+    centre = floor._center(jxi, field.to_integral_coords(jxi))
+    assert max(abs(t - m) for t, m in zip(tau, centre)) == 15
+
+
+# -- certified reach of the representative floor -------------------------------------
+
+
+def _ring_walk(floor, eta):
+    """The search without the window: rings of radius 0, 1, 2 around
+    _center, every candidate certified, no float filter."""
+    field = floor.prime.field
+    alpha = canonical_lift(eta, floor.prime, floor.gamma)
+    if alpha.is_zero():
+        return field.zero()
+    xi = alpha * floor._gamma_inv
+    eps_sq = floor.epsilon.square()
+    floor._babai_data()
+    for j in range(1, floor.M):
+        if j % floor.prime.p == 0:
+            continue
+        jxi = xi * j
+        centre = floor._center(jxi, field.to_integral_coords(jxi))
+        for radius in (0, 1, 2):
+            for offset in itertools.product(range(-radius, radius + 1), repeat=field.degree):
+                if radius and max(map(abs, offset)) != radius:
+                    continue
+                u = jxi - field.from_integral_coords([m + o for m, o in zip(centre, offset)])
+                if floor._certify(u, eps_sq, DEFAULT_PREC)[0]:
+                    return floor.gamma * (u / j)
+    return "exhausted"
+
+
+def test_window_search_equals_ring_walk(k14, units14, qz3):
+    """The window holds every tau that certification accepts, so the floor
+    returns what the ring walk returns, or is exhausted where it is: on
+    criterion-5 draws at 48953 and 48989, qz3 at 1009 with step-1 complete
+    quotients, the step-1 quotients of table1 rows 3 and 5, the row-6 input
+    whose centres fall back to floats, and P = (3+sqrt14) over 5."""
+    rng = random.Random(1985)
+
+    def draw(field):
+        return field.element([F(rng.randint(-60, 60), rng.randint(1, 30))
+                              for _ in range(field.degree)])
+
+    def step1(spec, xs):
+        out = []
+        for x in xs:
+            diff = x - spec.floor.apply(x)
+            out += [x] if diff.is_zero() else [x, diff.inverse()]
+        return out
+
+    cases = []
+    for p in (48953, 48989):
+        spec = CF.make_representative_type(k14, primes_above(k14, p)[0], units14)
+        cases.append((spec, [draw(k14) for _ in range(10)]))
+    spec = CF.make_representative_type(qz3.field, primes_above(qz3.field, 1009)[0], qz3.units)
+    cases.append((spec, step1(spec, [draw(qz3.field) for _ in range(3)])))
+    for i, coords in ((3, None), (5, (F(19, 10), F(-38, 21), F(-58, 7), F(-14, 3)))):
+        row = load_bundled(f"table1/row{i}.json")
+        c_mk = compute_constants(row.field, row.units).c_MK.hi
+        spec = CF.make_representative_type(
+            row.field, degree_one_primes_above(row.field, math.ceil(c_mk), 1)[0], row.units)
+        x = row.field.element(coords) if coords else draw(row.field)
+        cases.append((spec, step1(spec, [x])[1:]))
+    spec, x = _row6_fallback()
+    cases.append((spec, [x]))
+    spec = CF.make_representative_type(k14, primes_above(k14, 5)[1], units14,
+                                       gamma=k14.element([3, 1]))
+    cases.append((spec, [k14.from_rational(2)]))
+
+    for spec, samples in cases:
+        assert samples and _floor_outputs(spec, samples) == [_ring_walk(spec.floor, x)
+                                                             for x in samples]
+    assert [len(samples) for _, samples in cases[3:5]] == [1, 1]
+    assert _floor_outputs(*cases[-2]) == _floor_outputs(*cases[-1]) == ["exhausted"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, 4),
+    k=st.integers(0, 3),
+    den=st.one_of(st.integers(1, 10 ** 12), st.just(2 ** 32)),
+    beyond=st.integers(0, 3 * 10 ** 12),
+    sign=st.sampled_from((1, -1)),
+    others=st.lists(st.integers(-3 * 10 ** 12, 3 * 10 ** 12), min_size=4, max_size=4),
+)
+def test_certify_rejects_beyond_reach(place_floors, rep_type_14, which, k, den, beyond, sign,
+                                      others):
+    """No u with some integral-basis coordinate |x_k| >= R_k is accepted."""
+    floor = (place_floors + [rep_type_14.floor])[which]
+    floor._babai_data()
+    field = floor.prime.field
+    k %= field.degree
+    coords = [F(max(-3 * den, min(3 * den, n)), den) for n in others[:field.degree]]
+    coords[k] = sign * (F(-(-floor._reach[k] * den // 2 ** 32), den) + F(beyond, den))
+    assert abs(coords[k]) >= F(floor._reach[k], 2 ** 32)
+    u = field.from_integral_coords(coords)
+    assert not floor._certify(u, floor.epsilon.square(), DEFAULT_PREC)[0]

@@ -271,6 +271,8 @@ def test_prime_gen_selection(capsys):
     # N(P) = 5 is far below c(M,K) ~ 48896.  With P = (3+sqrt14) every
     # j*xi - tau (5 does not divide j) has sqrt14-coordinate in (1/5)Z \ Z, so
     # max|sigma(j*xi - tau)| >= sqrt14/5 > epsilon = 14^(-1/4): no pair exists.
+    # The certified window sees it without a candidate: c_2 is at least 1/5
+    # from Z and the reach R_2 = epsilon * 2 * sqrt14/28 is about 0.138.
     assert main(["expand", "qsqrt14", "--prime", "5", "--prime-gen", "3,1",
                  "--alpha", "2", "--floor", "representative", "--json"]) == 3
     captured = capsys.readouterr()
@@ -279,6 +281,7 @@ def test_prime_gen_selection(capsys):
     error = json.loads(captured.out)
     assert error["error"].startswith("search exhausted: ")
     assert "precision" not in error["error"]  # fixed, and doubled by the certification
+    assert "no tau within the certified reach for any j" in error["error"]
     assert error["inputs"]["prime_gen"] == "3,1"
     assert any("N(P) = 5 is not above c(M,K)" in w for w in error["warnings"])
     # 48953 splits as (263+38sqrt14)(263-38sqrt14); the second generator picks
