@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .constants import c_alpha, c_MK, choose_M, epsilon_for, height_constant
+from .constants import c_alpha, c_MK, choose_M, epsilon_for, height_constant, theta
 from .errors import (
     EvenPrime,
     FloorFailure,
@@ -529,9 +529,7 @@ def nu_term(a: NFElement, spec: TypeSpec) -> RealInterval:
     finite_part = Fraction(denominator_ideal_norm(a), spec.prime.norm ** (-2 * v))
     arch = RealInterval.exact(1)
     for i in range(spec.field.degree):
-        mag_sq = a.embed(i).abs_sq()
-        t = (sqrt_interval(mag_sq) + sqrt_interval(mag_sq + 4)) * Fraction(1, 2)
-        arch = (arch * t).rounded(DEFAULT_PREC + 16)
+        arch = (arch * theta(a.embed(i).abs_sq())).rounded(DEFAULT_PREC + 16)
     return (arch * finite_part).rounded(DEFAULT_PREC)
 
 

@@ -17,11 +17,10 @@ from .ideals import FractionalIdeal, PrimeIdealData, valuation, whole_ring
 from .intervals import DEFAULT_PREC, RealInterval, nth_root_interval, pi_interval, sqrt_interval
 
 
-def theta(x) -> RealInterval:
-    """(|x| + sqrt(x^2 + 4)) / 2; satisfies |x| <= theta(x) <= |x| + 1."""
-    xi = x if isinstance(x, RealInterval) else RealInterval.exact(Fraction(x))
-    ax = xi.abs()
-    return (ax + sqrt_interval(ax.square() + 4)) * Fraction(1, 2)
+def theta(x_sq) -> RealInterval:
+    """theta(x) = (|x| + sqrt(|x|^2 + 4)) / 2 from x_sq = |x|^2 >= 0, an
+    interval or a rational; satisfies |x| <= theta(x) <= |x| + 1."""
+    return (sqrt_interval(x_sq) + sqrt_interval(x_sq + 4)) * Fraction(1, 2)
 
 
 def _factorial_over_dd(d: int) -> Fraction:

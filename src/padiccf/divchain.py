@@ -15,14 +15,8 @@ from itertools import product
 from .cfengine import continuants, evaluate_cf  # continuants: re-exported
 from .errors import MissingClassData, NotCoprime, SearchExhausted, ZeroDenominator
 from .exactnf import NFElement
-from .ideals import (
-    PrimeIdealData,
-    SIntegerRing,
-    prime_divisors,
-    primes_above,
-    principal_ideal,
-    valuation,
-)
+from .ideals import PrimeIdealData, SIntegerRing, is_prime, primes_above, principal_ideal, valuation
+from .intervals import _int_nth_root_floor
 
 # ---------------------------------------------------------------------------
 # chains
@@ -179,59 +173,19 @@ def _babai_round(x: NFElement) -> NFElement:
     )
 
 
-def _support_within_s(x: NFElement, ring: SIntegerRing) -> bool:
-    """True iff x is an S-unit: all valuations vanish outside S."""
-    if x.is_zero():
-        return False
-    nrm = x.norm()
-    s_primes = {(q.p, q.factor_poly) for q in ring.S}
-    for n in (abs(nrm.numerator), nrm.denominator):
-        for p in prime_divisors(n):
-            for q in primes_above(ring.field, p):
-                if (q.p, q.factor_poly) not in s_primes and valuation(x, q) != 0:
-                    return False
-    return True
-
-
-def _ideal_valuation(ideal, q: PrimeIdealData) -> int:
-    return min(valuation(x, q) for x in ideal.basis_elements() if not x.is_zero())
-
-
-def _coprime_in_os(a: NFElement, b: NFElement, ring: SIntegerRing) -> bool:
-    """No prime outside S divides both a and b."""
-    gcd_ideal = None
-    for x in (a, b):
-        if x.is_zero():
-            continue
-        ideal = principal_ideal(x)
-        gcd_ideal = ideal if gcd_ideal is None else gcd_ideal.add(ideal)
-    if gcd_ideal is None:
-        return False
-    nrm = gcd_ideal.norm()
-    s_primes = {(q.p, q.factor_poly) for q in ring.S}
-    for n in (abs(nrm.numerator), nrm.denominator):
-        for p in prime_divisors(n):
-            for q in primes_above(ring.field, p):
-                if (q.p, q.factor_poly) in s_primes:
-                    continue
-                if _ideal_valuation(gcd_ideal, q) > 0:
-                    return False
-    return True
-
-
 def _prime_ideal_of(x: NFElement) -> PrimeIdealData | None:
-    """The prime Q with (x) = Q, if (x) is a prime ideal of O_K."""
+    """The prime Q with (x) = Q, if (x) is a prime ideal of O_K: then
+    |N(x)| = p^f with p prime and f <= d."""
     nrm = int(abs(x.norm()))
-    if nrm <= 1:
+    for f in range(1, x.field.degree + 1):
+        p = _int_nth_root_floor(nrm, f)
+        if p ** f == nrm and is_prime(p):
+            break
+    else:
         return None
-    primes = prime_divisors(nrm)
-    if len(primes) != 1:
-        return None
-    for q in primes_above(x.field, primes[0]):
-        if q.norm == nrm and valuation(x, q) == 1:
-            ideal = principal_ideal(x)
-            if ideal == q.as_ideal:
-                return q
+    for q in primes_above(x.field, p):
+        if q.norm == nrm and valuation(x, q) == 1 and principal_ideal(x) == q.as_ideal:
+            return q
     return None
 
 
@@ -264,7 +218,7 @@ def clw_expand(
         gamma = principal_generator(P, units)
     if not (ring.contains(a) and ring.contains(b)):
         raise ValueError("a and b must be S-integers")
-    if not _coprime_in_os(a, b, ring):
+    if not ring.coprime(a, b):
         raise NotCoprime("a and b share a prime outside S")
 
     # immediate termination: b | a in O_S
@@ -296,7 +250,7 @@ def clw_expand(
         raise SearchExhausted("stage 1: no shift made v_P(r_1) = 0")
     steps = [(q1, r1)]
 
-    if _support_within_s(r1, ring):
+    if ring.is_unit(r1):
         # r_1 is an S-unit: divide exactly and stop at length 2
         steps.append((b / r1, field.zero()))
         return DivisionChain(ring=ring, a=a, b=b, steps=steps)
@@ -312,7 +266,7 @@ def clw_expand(
             pn = p_prime / gamma ** v if v else p_prime
             if not pn.is_integral():
                 continue
-            if _support_within_s(p_prime, ring):
+            if ring.is_unit(p_prime):
                 # p' itself is an S-unit: close at length 3
                 steps_unit = steps + [
                     (field.from_rational(-k), p_prime),

@@ -1,10 +1,11 @@
 """Field specification files: parsing, validation, bundled fixtures.
 
 A field file is JSON with keys `min_poly` (integer coefficients, constant
-term first), and optionally `integral_basis`, `field_disc`, `class_number`,
-`fundamental_units` (coordinate vectors over the power basis),
-`torsion_order`, `ideal_class_reps`, `class_group`, and a `bedocchi` block
-{M, epsilon} carrying externally computed refinement inputs.  Supplied units
+term first), and optionally `label`, `integral_basis`, `field_disc`,
+`class_number`, `fundamental_units` (coordinate vectors over the power
+basis), `c_mk_reference` and `m_reference` (golden columns that `table1`
+compares against), and a `bedocchi` block {M, epsilon} carrying externally
+computed refinement inputs.  Other keys are ignored.  Supplied units
 are validated at load (|N| = 1 and log-independence), so wrong bundled data
 fails loudly.  A real quadratic field without units falls back to the
 continued-fraction (Pell) computation.
@@ -29,10 +30,7 @@ class LoadedField:
     units: UnitSystem
     class_number: int
     bedocchi: dict | None = None
-    class_group: dict | None = None
-    ideal_class_reps: list | None = None
     c_mk_reference: int | None = None
-    source: str = ""
 
 
 def _parse_coords(vec) -> list[Fraction]:
@@ -68,8 +66,7 @@ def load_field_data(data: dict, source: str = "") -> LoadedField:
         units = ()
     else:
         units = tuple(field.element(_parse_coords(vec)) for vec in raw_units)
-    torsion = int(data.get("torsion_order", 2))
-    unit_system = UnitSystem(units=units, torsion_order=torsion)
+    unit_system = UnitSystem(units=units)
     try:
         log_lattice(field, unit_system)  # validates |N|=1 + independence
     except Exception as exc:
@@ -86,10 +83,7 @@ def load_field_data(data: dict, source: str = "") -> LoadedField:
         units=unit_system,
         class_number=class_number,
         bedocchi=bedocchi,
-        class_group=data.get("class_group"),
-        ideal_class_reps=data.get("ideal_class_reps"),
         c_mk_reference=data.get("c_mk_reference"),
-        source=source,
     )
 
 

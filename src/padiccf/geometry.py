@@ -28,7 +28,6 @@ class UnitSystem:
     """Fundamental units (as supplied; validated for |N| = 1, independence)."""
 
     units: tuple[NFElement, ...]
-    torsion_order: int = 2
 
 
 @dataclass(frozen=True)

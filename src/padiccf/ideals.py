@@ -29,35 +29,21 @@ from .exactnf import NFElement, NumberField
 # ---------------------------------------------------------------------------
 # rational primes
 
-def _primes_below(n: int) -> list[int]:
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return [p for p in range(n) if sieve[p]]
-
-
-_TRIAL_LIMIT = 1 << 12
-_TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
 # Miller-Rabin to the first 13 prime bases is deterministic below psi_13
 # (Sorenson & Webster, Math. Comp. 86, 2017)
-_MR_BASES = _TRIAL_PRIMES[:13]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin to the bases _MR_BASES below psi_13,
-    sympy.isprime at or above it."""
+    """Primality by Miller-Rabin to the bases _MR_BASES, exact below psi_13.
+    At or above psi_13 a strong Lucas test follows, which makes it the
+    Baillie-PSW test (no composite is known to pass it)."""
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= _PSI_13:
-        from sympy import isprime
-
-        return bool(isprime(n))
     s = ((n - 1) & (1 - n)).bit_length() - 1
     odd = (n - 1) >> s
     for a in _MR_BASES:
@@ -70,7 +56,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
 
 
 def next_prime(n: int) -> int:
@@ -81,27 +67,49 @@ def next_prime(n: int) -> int:
     return n
 
 
-def prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n != 0, ascending: trial division by the
-    primes below _TRIAL_LIMIT, then a cofactor that is prime (below
-    _TRIAL_LIMIT^2 or by is_prime) or that sympy.factorint splits."""
-    n = abs(n)
-    out = []
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            out.append(p)
-            n //= p
-            while n % p == 0:
-                n //= p
-    if n == 1:
-        return out
-    if n < _TRIAL_LIMIT ** 2 or is_prime(n):
-        return out + [n]
-    from sympy import factorint
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
 
-    return out + sorted(int(q) for q in factorint(n))
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4 (Baillie & Wagstaff, Math. Comp. 35, 1980)."""
+    if isqrt(n) ** 2 == n:  # no such D exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k and Q^k mod n from k = 1 to k = (n + 1) / 2^s, bit by bit
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -901,20 +909,58 @@ def degree_one_primes_above(
 
 @dataclass(frozen=True)
 class SIntegerRing:
-    """Ring O_S: elements of K integral outside the finite places in S."""
+    """Ring O_S: elements of K integral outside the finite places in S.
+
+    contains, is_unit and coprime ask whether a prime outside S divides a
+    denominator or a norm.  A rational prime not under S that divides it
+    already answers, so nothing is factored: the rational primes under S are
+    divided out, and only the primes Q not in S above them need a valuation.
+    """
 
     field: NumberField
     S: tuple[PrimeIdealData, ...]
 
+    def _outside_s(self, n: int) -> list[PrimeIdealData] | None:
+        """None if a rational prime not under S divides n != 0; otherwise the
+        primes Q not in S above the rational primes under S that divide n."""
+        n = abs(n)
+        out = []
+        for p in sorted({q.p for q in self.S}):
+            if n % p == 0:
+                while n % p == 0:
+                    n //= p
+                out += [q for q in primes_above(self.field, p) if q not in self.S]
+        return out if n == 1 else None
+
     def contains(self, x: NFElement) -> bool:
+        """v_Q(x) >= 0 for every Q not in S.  Each prime dividing x's minimal
+        denominator b lies under some Q with v_Q(x) < 0."""
         if x.is_zero():
             return True
-        _, b = x.content_split()
-        if b == 1:
-            return True
-        s_primes = {(q.p, q.factor_poly) for q in self.S}
-        for p in prime_divisors(b):
-            for q in primes_above(self.field, p):
-                if (q.p, q.factor_poly) not in s_primes and valuation(x, q) < 0:
-                    return False
-        return True
+        others = self._outside_s(x.denominator())
+        return others is not None and all(valuation(x, q) >= 0 for q in others)
+
+    def is_unit(self, x: NFElement) -> bool:
+        """S-unit test: v_Q(x) = 0 for every Q not in S above a prime dividing
+        N(x).  v_p(N(x)) = sum_Q f_Q v_Q(x), so a prime not under S that
+        divides N(x) lies under some Q with v_Q(x) != 0."""
+        if x.is_zero():
+            return False
+        nrm = x.norm()
+        others = self._outside_s(nrm.numerator * nrm.denominator)
+        return others is not None and all(valuation(x, q) == 0 for q in others)
+
+    def coprime(self, a: NFElement, b: NFElement) -> bool:
+        """No prime outside S divides both a and b, for a and b in O_S.  Then
+        v_Q(a O_K + b O_K) >= 0 for every Q not in S, so a prime not under S
+        that divides the norm of that ideal lies under some Q dividing it."""
+        ideals = [principal_ideal(x) for x in (a, b) if not x.is_zero()]
+        if not ideals:
+            return False
+        g = ideals[0] if len(ideals) == 1 else ideals[0].add(ideals[1])
+        nrm = g.norm()
+        others = self._outside_s(nrm.numerator * nrm.denominator)
+        return others is not None and all(
+            min(valuation(y, q) for y in g.basis_elements() if not y.is_zero()) <= 0
+            for q in others
+        )

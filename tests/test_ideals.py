@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from padiccf import divchain as DC
 from padiccf import ideals as I
 from padiccf.errors import IndexDivisor, NotIntegralAtI, SearchExhausted, ZeroValuation
 from padiccf.exactnf import new_field
@@ -106,6 +108,30 @@ def test_factor_mod_p_matches_sympy(p, parts, lifts):
 # the least strong pseudoprimes to the first 9 (also 10 and 11), 12 and 13
 # prime bases, so 13 Miller-Rabin bases are exact below the last
 PSEUDOPRIMES = (3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+PSI_13 = PSEUDOPRIMES[-1]
+# strong Lucas pseudoprimes with Selfridge's parameters above psi_13: p*q for
+# primes p, q whose Fibonacci rank of apparition is the same odd m, with
+# (5/p) = -1 and (5/q) = 1, so that D = 5 and m | (n + 1)/2^s
+LUCAS_PSEUDOPRIMES = (
+    5568053048227732210073 * 27941,  # m = 127
+    85526722937689093 * 2114537501,  # m = 139
+    10424204306491346737 * 7636481,  # m = 157
+    227150265697 * 717185107125886549,  # m = 197
+)
+
+
+def test_strong_lucas_matches_sympy():
+    rng = random.Random(19)
+    odd = list(range(3, 20001, 2)) + [rng.getrandbits(rng.randint(2, 200)) | 1 for _ in range(3000)]
+    odd += [*LUCAS_PSEUDOPRIMES, PSI_13]
+    for n in odd:
+        assert I._strong_lucas(n) == is_strong_lucas_prp(n), n
+    assert [n for n in range(3, 20001, 2) if I._strong_lucas(n) and not sympy.isprime(n)] \
+        == [5459, 5777, 10877, 16109, 18971]
+    for n in LUCAS_PSEUDOPRIMES:
+        assert n > PSI_13 and I._strong_lucas(n) and not I.is_prime(n)
+    # psi_13 passes Miller-Rabin to all 13 bases; the Lucas test rejects it
+    assert not I._strong_lucas(PSI_13) and not I.is_prime(PSI_13)
 
 
 def test_is_prime_matches_sympy():
@@ -114,20 +140,15 @@ def test_is_prime_matches_sympy():
     others = [rng.getrandbits(rng.randint(2, 100)) for _ in range(3000)]
     others += [sympy.nextprime(rng.getrandbits(rng.randint(40, 100))) for _ in range(100)]
     others += [*PSEUDOPRIMES, PSEUDOPRIMES[-1] - 2, 2 ** 89 - 1, 2 ** 127 - 1]
+    # above psi_13: primes, composites and strong Lucas pseudoprimes
+    others += [sympy.nextprime(rng.randrange(PSI_13, 1 << 200)) for _ in range(100)]
+    others += [sympy.nextprime(rng.getrandbits(50)) * sympy.nextprime(rng.getrandbits(50))
+               for _ in range(100)]
+    others += [rng.randrange(PSI_13, 1 << 200) | 1 for _ in range(300)]
+    others += [*LUCAS_PSEUDOPRIMES, PSI_13 + 142, 2 ** 521 - 1]
     for n in others:
         assert I.is_prime(n) == sympy.isprime(n), n
     assert [I.next_prime(n) for n in range(-2, 3000)] == [sympy.nextprime(n) for n in range(-2, 3000)]
-
-
-def test_prime_divisors_match_factorint():
-    rng = random.Random(17)
-    cases = [1, 2, 4096, 4093 * 4099, 4099 ** 2, 5 ** 15, 48953 ** 3, 2626003081987 ** 2]
-    cases += [sympy.nextprime(rng.randrange(1000, 10 ** rng.randint(4, 9)))
-              * sympy.nextprime(rng.randrange(1000, 10 ** rng.randint(4, 9))) for _ in range(200)]
-    cases += [rng.getrandbits(rng.randint(2, 48)) | 1 for _ in range(500)]
-    for n in cases:
-        assert I.prime_divisors(n) == sorted(sympy.factorint(n)), n
-        assert I.prime_divisors(-n) == I.prime_divisors(n)
 
 
 def test_primes_above_sum_ef(k14):
@@ -390,6 +411,107 @@ def test_s_integer_membership(kq, k14):
     ring14 = I.SIntegerRing(field=k14, S=(ps[1],))
     assert ring14.contains(k14.one() / k14.element([3, 1]))
     assert not ring14.contains(k14.one() / k14.element([3, -1]))
+
+
+def test_s_integer_predicates_at_index_divisors():
+    """Over Q(sqrt5) with O_K = Z[(1+sqrt5)/2], 2 divides the index
+    [O_K : Z[sqrt5]] and primes_above(2) is refused.  The predicates still
+    answer: 2 lies under no prime of S, so it is outside S."""
+    k5 = new_field([-5, 0, 1], integral_basis=[[1, 0], [F(1, 2), F(1, 2)]], field_disc=5)
+    ring = I.SIntegerRing(field=k5, S=tuple(I.primes_above(k5, 5)))
+    half, two, sqrt5 = k5.from_rational(F(1, 2)), k5.from_rational(2), k5.generator()
+    assert not ring.contains(half)
+    assert ring.contains((k5.one() + sqrt5) * half) and ring.contains(sqrt5.inverse())
+    assert not ring.is_unit(two) and ring.is_unit(sqrt5)
+    assert not ring.coprime(two, two * sqrt5) and ring.coprime(two, sqrt5)
+
+
+# The predicates as they were defined before, by factoring the denominator or
+# the norm and asking every prime above each rational prime factor.
+
+
+def _over_factors(ring, n, ok):
+    return all(q in ring.S or ok(q) for p in sympy.factorint(abs(n))
+               for q in I.primes_above(ring.field, int(p)))
+
+
+def _contains_by_factoring(ring, x):
+    return x.is_zero() or _over_factors(ring, x.denominator(), lambda q: I.valuation(x, q) >= 0)
+
+
+def _is_unit_by_factoring(ring, x):
+    nrm = x.norm()
+    return _over_factors(ring, nrm.numerator * nrm.denominator, lambda q: I.valuation(x, q) == 0)
+
+
+def _coprime_by_factoring(ring, a, b):
+    g = I.principal_ideal(a).add(I.principal_ideal(b))
+    nrm = g.norm()
+    return _over_factors(ring, nrm.numerator * nrm.denominator, lambda q: min(
+        I.valuation(y, q) for y in g.basis_elements() if not y.is_zero()) <= 0)
+
+
+def _prime_ideal_by_factoring(x):
+    nrm = int(abs(x.norm()))
+    primes = list(sympy.factorint(nrm)) if nrm > 1 else []
+    if len(primes) != 1:
+        return None
+    for q in I.primes_above(x.field, int(primes[0])):
+        if q.norm == nrm and I.valuation(x, q) == 1 and I.principal_ideal(x) == q.as_ideal:
+            return q
+    return None
+
+
+S_FIELDS = ("qsqrt14.json", "table1/row1.json", "qz3.json")
+
+
+@pytest.fixture(scope="module")
+def s_fields():
+    return {name: load_bundled(name) for name in S_FIELDS}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(S_FIELDS),
+    under_s=st.sets(st.sampled_from((2, 3, 5, 7)), min_size=1),
+    all_above=st.booleans(),
+    unit_exps=st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+    s_exps=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    coords=st.lists(st.lists(st.integers(-40, 40), min_size=3, max_size=3), min_size=3, max_size=3),
+    dens=st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 14, 25, 39)), min_size=3, max_size=3),
+    outside=st.sampled_from((1, 11, 13)),
+)
+def test_s_integer_predicates_match_factoring(s_fields, name, under_s, all_above, unit_exps,
+                                              s_exps, coords, dens, outside):
+    """contains, is_unit, coprime and the prime-ideal test give the answers of
+    their factoring definitions, on S-units units * gamma^k (True branches),
+    on multiples of them by small elements and on elements with small
+    denominators."""
+    lf = s_fields[name]
+    k = lf.field
+    d = k.degree
+    S = tuple(q for p in sorted(under_s) for q in I.primes_above(k, p)[:None if all_above else 1])
+    ring = I.SIntegerRing(field=k, S=S)
+    unit = k.one()
+    for u, e in zip(lf.units.units, unit_exps):
+        unit = unit * u ** e
+    s_unit = unit
+    for q, e in zip(S, s_exps):
+        s_unit = s_unit * I.principal_generator(q, lf.units) ** e
+    y, z, c = (k.from_integral_coords(v[:d]) for v in coords)
+    assume(not y.is_zero() and not z.is_zero())
+    pi = I.principal_generator(I.primes_above(k, outside)[0], lf.units) if outside > 1 else k.one()
+    x = y * k.from_rational(F(1, dens[0]))
+    for elt in (x, s_unit, s_unit * x, y * k.from_rational(F(1, dens[1] * dens[2]))):
+        assert ring.contains(elt) == _contains_by_factoring(ring, elt)
+    for elt in (s_unit, -s_unit * pi, s_unit * y, y * k.from_rational(F(1, dens[1]))):
+        assert ring.is_unit(elt) == _is_unit_by_factoring(ring, elt)
+    a, b = s_unit * y, z * unit
+    pairs = [(a, b), (s_unit, b)] + ([(a * c * pi, b * c * pi)] if not c.is_zero() else [])
+    for a, b in pairs:
+        assert ring.coprime(a, b) == _coprime_by_factoring(ring, a, b)
+    for elt in (pi * unit, pi * pi, y, y * z, I.principal_generator(S[0], lf.units) * unit):
+        assert DC._prime_ideal_of(elt) == _prime_ideal_by_factoring(elt)
 
 
 def test_hnf_rows_properties():
