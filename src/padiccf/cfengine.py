@@ -181,6 +181,7 @@ class RepresentativeFloor:
             return field.zero()
         xi = alpha_prime * self._gamma_inv
         eps_sq = self.epsilon.square()
+        eps_lo = float(eps_sq.lo) * (1 - 2.0 ** -40)
         eps_hi = float(eps_sq.hi) * (1 + 2.0 ** -40)
         self._babai_data()
         margins, reached = [], False
@@ -198,22 +199,24 @@ class RepresentativeFloor:
             survivors = []
             for tau in itertools.product(*windows):
                 x = [n - t * q for n, t, q in zip(nums, tau, dens)]
-                margin = self._float_rejects(x, dens, eps_hi)
-                if margin is None:
-                    survivors.append((tau, x))
-                else:
+                verdict, margin = self._float_verdict(x, dens, eps_lo, eps_hi)
+                if verdict is False:
                     margins.append(margin)
+                else:
+                    survivors.append((tau, x, verdict))
             if not survivors:
                 continue
             reached = True
-            # certify by ring 0, 1, 2 around the centre, lexicographic within a ring (README)
+            # the first accepted by ring 0, 1, 2 around the centre, lexicographic
+            # within a ring (README); floats decide, or else _certify
             center = self._center(jxi, coords)
-            offsets = ((tuple(t - m for t, m in zip(tau, center)), x) for tau, x in survivors)
-            for ring, _, x in sorted((max(map(abs, o)), o, x) for o, x in offsets):
+            offsets = ((tuple(t - m for t, m in zip(tau, center)), x, v) for tau, x, v in survivors)
+            for ring, _, x, verdict in sorted((max(map(abs, o)), o, x, v) for o, x, v in offsets):
                 if ring > 2:
                     break
                 u = field.from_integral_coords([Fraction(n, q) for n, q in zip(x, dens)])
-                verdict, margin = self._certify(u, eps_sq, prec)
+                if verdict is None:
+                    verdict, margin = self._certify(u, eps_sq, prec)
                 if verdict:
                     return self.gamma * (u / j)
                 if margin is not None:
@@ -225,21 +228,25 @@ class RepresentativeFloor:
             + "); the prime may be too small for this M"
         )
 
-    def _float_rejects(self, nums: list[int], dens: list[int], eps_hi: float) -> float | None:
-        """Certified float test that some |sigma(u)|^2 exceeds eps_hi, for u
-        with integral-basis coordinates nums_k / dens_k: a lower bound of the
-        excess, or None when floats cannot show one.  The float sum S of
+    def _float_verdict(self, nums: list[int], dens: list[int], eps_lo: float,
+                       eps_hi: float) -> tuple[bool | None, float | None]:
+        """Certified float comparison of every |sigma(u)|^2 with epsilon^2, for
+        u with integral-basis coordinates nums_k / dens_k: (False, a lower
+        bound of the excess) when some |sigma(u)|^2 exceeds eps_hi, (True, None)
+        when every one is below eps_lo, else (None, None).  The float sum S of
         x_k * sigma(b_k) is within sum|x_k| * radius + (d+2) 2^-53
         sum|x_k|(|Re|+|Im|) of sigma(u) (Higham 2002, secs. 3.1, 4.2); err
         doubles the coefficient and the whole, covering its own rounding and
-        underflow, and the 2^-40 factors cover the final comparison.
-        Non-finite values compare false and never reject."""
+        underflow, the 2^-40 factors cover the final comparisons, and 2^-1000
+        the underflow of the upper bound.  Non-finite values compare false and
+        decide nothing."""
         try:
             xf = [n / q for n, q in zip(nums, dens)]  # correctly rounded
         except OverflowError:
-            return None
+            return None, None
         size = sum(abs(a) for a in xf)
         rel = (2 * len(xf) + 4) * 2.0 ** -53
+        accept = True
         for re, im, mag in self._places:
             s_re = s_im = scale = 0.0
             for a, r, i, m in zip(xf, re, im, mag):
@@ -251,8 +258,11 @@ class RepresentativeFloor:
             lo_im = max(abs(s_im) - err, 0.0)
             lower = (lo_re * lo_re + lo_im * lo_im) * (1 - 2.0 ** -40)
             if lower > eps_hi:
-                return lower - eps_hi
-        return None
+                return False, lower - eps_hi
+            hi_re, hi_im = abs(s_re) + err, abs(s_im) + err
+            upper = (hi_re * hi_re + hi_im * hi_im) * (1 + 2.0 ** -40) + 2.0 ** -1000
+            accept = accept and upper < eps_lo
+        return (True, None) if accept else (None, None)
 
     def _certify(self, u: NFElement, eps_sq: RealInterval, prec: int):
         """Certified check max_sigma |sigma(u)|^2 < epsilon^2; returns

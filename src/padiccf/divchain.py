@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .cfengine import continuants, evaluate_cf  # continuants: re-exported
-from .errors import MissingClassData, NotCoprime, SearchExhausted, ZeroDenominator
+from .errors import NotCoprime, SearchExhausted, ZeroDenominator
 from .exactnf import NFElement
 from .ideals import PrimeIdealData, SIntegerRing, is_prime, primes_above, principal_ideal, valuation
 from .intervals import _int_nth_root_floor
@@ -86,16 +86,11 @@ def verify_chain(chain: DivisionChain) -> ChainReport:
     )
 
 
-def chain_to_cf(chain: DivisionChain) -> list[NFElement]:
-    if not chain.terminating:
-        raise ValueError("only terminating chains convert to continued fractions")
-    return chain.quotients()
-
-
 def cf_to_chain(
     a: NFElement, b: NFElement, quotients: list[NFElement], ring: SIntegerRing
 ) -> DivisionChain:
-    """Rebuild the remainder ledger from quotients; inverse of chain_to_cf."""
+    """Rebuild the remainder ledger from quotients; inverse of
+    DivisionChain.quotients on terminating chains."""
     if b.is_zero():
         raise ZeroDenominator("b must be nonzero")
     steps = []
@@ -105,53 +100,6 @@ def cf_to_chain(
         steps.append((q, r))
         r_prev2, r_prev = r_prev, r
     return DivisionChain(ring=ring, a=a, b=b, steps=steps)
-
-
-def euclid_chain(a: int, b: int, ring: SIntegerRing) -> DivisionChain:
-    """Classical Euclidean algorithm over Z (floor quotients); test oracle."""
-    field = ring.field
-    steps = []
-    x, y = a, b
-    while y != 0:
-        q, r = divmod(x, y)
-        steps.append((field.from_rational(q), field.from_rational(r)))
-        x, y = y, r
-    return DivisionChain(ring=ring, a=field.from_rational(a), b=field.from_rational(b), steps=steps)
-
-
-# ---------------------------------------------------------------------------
-# ideal-class obstruction
-
-
-def class_obstruction(
-    a: NFElement,
-    b: NFElement,
-    ring: SIntegerRing,
-    class_number: int = 1,
-    class_data: dict | None = None,
-) -> bool:
-    """True iff the class of (a, b) lies in the subgroup generated by the
-    classes of the primes in S.  With class number 1 this is always true;
-    otherwise explicit class data must be supplied:
-    {"structure": [d_1, ...], "s_classes": [[...], ...], "ab_class": [...]}."""
-    if class_number == 1:
-        return True
-    if not class_data:
-        raise MissingClassData("class group structure required for h > 1")
-    structure = [int(d) for d in class_data["structure"]]
-    s_classes = [tuple(int(x) % m for x, m in zip(vec, structure))
-                 for vec in class_data["s_classes"]]
-    target = tuple(int(x) % m for x, m in zip(class_data["ab_class"], structure))
-    generated = {tuple([0] * len(structure))}
-    frontier = [tuple([0] * len(structure))]
-    while frontier:
-        cur = frontier.pop()
-        for g in s_classes:
-            nxt = tuple((c + x) % m for c, x, m in zip(cur, g, structure))
-            if nxt not in generated:
-                generated.add(nxt)
-                frontier.append(nxt)
-    return target in generated
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +131,8 @@ def _prime_ideal_of(x: NFElement) -> PrimeIdealData | None:
             break
     else:
         return None
+    if x.field.index % p == 0:
+        return None  # primes_above needs p prime to the index
     for q in primes_above(x.field, p):
         if q.norm == nrm and valuation(x, q) == 1 and principal_ideal(x) == q.as_ideal:
             return q

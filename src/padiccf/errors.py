@@ -75,10 +75,6 @@ class ZeroDenominator(PadicCFError, ZeroDivisionError):
 
 
 # divchain
-class MissingClassData(PadicCFError):
-    pass
-
-
 class NotCoprime(PadicCFError):
     pass
 

@@ -247,35 +247,6 @@ class FractionalIdeal:
         rows += [[x * (den // other.denom) for x in row] for row in other.hnf]
         return FractionalIdeal(self.field, hnf_rows(rows, self.field.degree), den)
 
-    def intersect(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        # dual(dual(A) + dual(B)) with exact rational duals
-        d = self.field.degree
-        den = lcm(self.denom, other.denom)
-        a = [[Fraction(x * (den // self.denom)) for x in row] for row in self.hnf]
-        b = [[Fraction(x * (den // other.denom)) for x in row] for row in other.hnf]
-
-        def dual_rows(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-            from .exactnf import _mat_inverse
-
-            inv = _mat_inverse(tuple(tuple(r) for r in mat))
-            return [[inv[j][i] for j in range(d)] for i in range(d)]
-
-        stacked = dual_rows(a) + dual_rows(b)
-        scale = 1
-        for row in stacked:
-            for x in row:
-                scale = lcm(scale, x.denominator)
-        int_rows = [[int(x * scale) for x in row] for row in stacked]
-        sum_hnf = hnf_rows(int_rows, d)
-        sum_rows = [[Fraction(x, scale) for x in row] for row in sum_hnf]
-        result = dual_rows(sum_rows)
-        scale2 = 1
-        for row in result:
-            for x in row:
-                scale2 = lcm(scale2, x.denominator)
-        int_result = [[int(x * scale2) for x in row] for row in result]
-        return FractionalIdeal(self.field, hnf_rows(int_result, d), den * scale2)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FractionalIdeal)
@@ -544,22 +515,71 @@ def coprime_part_above_p(P: PrimeIdealData) -> FractionalIdeal:
 # valuations
 
 
+def _v_p(n: int, p: int) -> int:
+    """v_p(n) for an integer n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _zp_root(P: PrimeIdealData, n: int) -> tuple[int, int] | None:
+    """(r, N) with N >= n and r the root of min_poly mod p^N above P's root
+    mod p, when e = f = 1 and b_0 = 1; else None.  Then alpha -> r is the ring
+    map O_K -> O_K/P^N = Z/p^N (p does not divide the index, and the root is
+    simple as e = 1), P^N's HNF has diagonal (p^N, 1, ..., 1), and row i >= 1
+    is (h_i0, 0, ..., 1, ...), so b_i = -h_i0 mod P^N.  Newton's iteration,
+    cached per P at the largest precision reached."""
+    cached = P._power_cache.get("root")
+    if cached is None:
+        if P.e != 1 or P.f != 1 or P.field.integral_basis[0] != P.field.one().coords:
+            return None
+        cached = (-P.factor_poly[0] % P.p, 1)
+    r, N = cached
+    while N < n:
+        N *= 2
+        mod = P.p ** N
+        fr = dfr = 0
+        for c in reversed(P.field.min_poly):
+            fr, dfr = (fr * r + c) % mod, (dfr * r + fr) % mod
+        r = (r - fr * pow(dfr, -1, mod)) % mod
+    P._power_cache["root"] = (r, N)
+    return r, N
+
+
+def _zp_image(x: NFElement, q: int, r: int, mod: int) -> int:
+    """The image of q*x in Z/mod under alpha -> r (_zp_root), for q a common
+    denominator of x's power-basis coordinates."""
+    t = 0
+    for c in reversed(x.coords):
+        t = (t * r + c.numerator * (q // c.denominator)) % mod
+    return t
+
+
 def valuation(x: NFElement, P: PrimeIdealData) -> int:
-    """Exact v_P(x), extended to K by v(y/b) = v(y) - v(b)."""
+    """Exact v_P(x), extended to K by v(y/b) = v(y) - v(b).  Where _zp_root
+    applies, v_P(x) = v_p(t) - v_p(q) for the image t != 0 of q*x in Z/p^N,
+    q the common denominator of x's coordinates and N doubled as needed."""
     if x.is_zero():
         raise ZeroValuation("v_P(0) = +infinity")
+    q = lcm(*(c.denominator for c in x.coords))
+    n = 2
+    while (root := _zp_root(P, n)) is not None:
+        t = _zp_image(x, q, root[0], P.p ** root[1])
+        if t:
+            return _v_p(t, P.p) - _v_p(q, P.p)
+        n = 2 * root[1]
+    return _valuation_hnf(x, P)
+
+
+def _valuation_hnf(x: NFElement, P: PrimeIdealData) -> int:
+    """valuation by membership in P, P^2, ...: the only path where e*f > 1."""
     y, b = x.content_split()
-    v = 0
-    if b > 1:
-        vb = 0
-        while b % P.p == 0:
-            b //= P.p
-            vb += 1
-        v -= P.e * vb
     k = 0
     while P.power(k + 1).contains(y):
         k += 1
-    return v + k
+    return k - P.e * _v_p(b, P.p)
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +743,7 @@ def make_coprime_denominator(x: NFElement, P: PrimeIdealData) -> tuple[NFElement
     for powers of an element of prod_{Q|p, Q!=P} Q^{e_Q} that avoids P.
     """
     y, b0 = x.content_split()
-    m0 = 0
-    b1 = b0
-    while b1 % P.p == 0:
-        b1 //= P.p
-        m0 += 1
+    m0 = _v_p(b0, P.p)
     field = x.field
     if m0 == 0:
         return y, field.from_rational(b0)
@@ -735,7 +751,7 @@ def make_coprime_denominator(x: NFElement, P: PrimeIdealData) -> tuple[NFElement
     a = (y * beta ** m0) / (P.p ** m0)
     if not a.is_integral():
         raise NotIntegralAtI("v_P(x) < 0: cannot clear the p-part of the denominator")
-    b = field.from_rational(b1) * beta ** m0
+    b = field.from_rational(b0 // P.p ** m0) * beta ** m0
     return a, b
 
 
@@ -782,12 +798,37 @@ def canonical_lift(eta: NFElement, P: PrimeIdealData, gamma: NFElement | None) -
         return eta.field.zero()
     k = max(0, -v)
     mu = eta * gamma ** k if k else eta
-    a, b = make_coprime_denominator(mu, P)
-    binv = invert_mod_prime_power(b, P, k + 1)
-    c = canonical_residue(a * binv, P.power(k + 1))
+    c = _residue_zp(mu, P, k + 1)
+    if c is None:
+        c = _residue_hnf(mu, P, k + 1)
     if k == 0:
         return c
-    return c * (gamma.inverse() ** k)
+    key = ("inverse", gamma)
+    if key not in P._power_cache:
+        P._power_cache[key] = gamma.inverse()
+    return c * P._power_cache[key] ** k
+
+
+def _residue_zp(mu: NFElement, P: PrimeIdealData, n: int) -> NFElement | None:
+    """_residue_hnf(mu, P, n) where _zp_root applies, else None: P^n's HNF box
+    holds r*b_0 for r in [-p^n/2, p^n/2), and r is the image of mu in Z/p^n,
+    (image of q*mu mod p^(n+m)) / p^m / q' for q = p^m q' the common
+    denominator of mu's coordinates."""
+    q = lcm(*(c.denominator for c in mu.coords))
+    m = _v_p(q, P.p)
+    root = _zp_root(P, n + m)
+    if root is None:
+        return None
+    h, pm = P.p ** n, P.p ** m
+    r = _zp_image(mu, q, root[0], h * pm) // pm * pow(q // pm, -1, h) % h
+    return mu.field.from_rational(r - h if 2 * r >= h else r)
+
+
+def _residue_hnf(mu: NFElement, P: PrimeIdealData, n: int) -> NFElement:
+    """The representative of mu, v_P(mu) >= 0, mod P^n in P^n's HNF box
+    (canonical_residue): the only path where e*f > 1."""
+    a, b = make_coprime_denominator(mu, P)
+    return canonical_residue(a * invert_mod_prime_power(b, P, n), P.power(n))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from padiccf.ideals import (
     whole_ring,
 )
 from padiccf.intervals import RealInterval
+from test_divchain import euclid_chain
 
 F = Fraction
 
@@ -223,7 +224,7 @@ def test_criterion_7_exact_invariants():
     ring = SIntegerRing(field=kq, S=(primes_above(kq, 5)[0],))
     for _ in range(400):
         a, b = rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 10 ** 4)
-        chain = DC.euclid_chain(a, b, ring)
+        chain = euclid_chain(a, b, ring)
         if not chain.steps:
             continue
         A, B = DC.continuants(chain.quotients())
@@ -292,7 +293,7 @@ def test_criterion_9_negative_controls(lf14):
     assert any(not c.membership_ok for c in rep.checks)  # axiom (i) fails
 
     ring = SIntegerRing(field=kq, S=(primes_above(kq, 5)[0],))
-    good = DC.euclid_chain(240, 46, ring)
+    good = euclid_chain(240, 46, ring)
     bad_steps = list(good.steps)
     q3, r3 = bad_steps[2]
     bad_steps[2] = (q3, r3 + kq.one())

@@ -355,9 +355,10 @@ def _floor_outputs(spec, samples):
 
 
 def test_float_filter_keeps_floor_outputs(monkeypatch, k14, units14):
-    """The filter drops only candidates that exact certification rejects, so
-    every floor value (and every exhausted search) matches the unfiltered
-    search: at both primes above 48953, at P = (3+sqrt14) over 5 where no
+    """The float verdicts drop only candidates that exact certification
+    rejects and accept only candidates it accepts, so every floor value (and
+    every exhausted search) matches the search that certifies every
+    candidate: at both primes above 48953, at P = (3+sqrt14) over 5 where no
     pair exists, and at table1 row 3 including step-1 complete quotients."""
     rng = random.Random(2718)
     cases = []
@@ -381,8 +382,23 @@ def test_float_filter_keeps_floor_outputs(monkeypatch, k14, units14):
 
     filtered = [_floor_outputs(spec, samples) for spec, samples in cases]
     assert filtered[2] == ["exhausted"]
-    monkeypatch.setattr(CF.RepresentativeFloor, "_float_rejects", lambda self, *args: None)
+    monkeypatch.setattr(CF.RepresentativeFloor, "_float_verdict", lambda self, *args: (None, None))
     assert [_floor_outputs(spec, samples) for spec, samples in cases] == filtered
+
+
+def test_floats_decide_every_accept(monkeypatch, k14, units14):
+    """On criterion-5 draws and their step-1 complete quotients at the split
+    primes above 48953, floats accept the first pair every time: exact
+    certification never runs."""
+    rng = random.Random(1618)
+    monkeypatch.setattr(CF.RepresentativeFloor, "_certify", lambda self, *args: pytest.fail())
+    for prime in primes_above(k14, 48953):
+        spec = CF.make_representative_type(k14, prime, units14)
+        for _ in range(10):
+            x = k14.element([F(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(2)])
+            diff = x - spec.floor.apply(x)
+            if not diff.is_zero():
+                spec.floor.apply(diff.inverse())
 
 
 def _places_floor(field, p, inverse=None):
@@ -415,6 +431,8 @@ def place_floors(k14):
     slack=st.integers(1, 60),
 )
 def test_float_filter_never_rejects_certified_candidates(place_floors, which, den, nums, slack):
+    """Floats reject only what _certify rejects and accept only what it
+    accepts, and they decide both ways where sigma(u) is not tiny."""
     floor = place_floors[which]
     field = floor.prime.field
     d = field.degree
@@ -422,14 +440,27 @@ def test_float_filter_never_rejects_certified_candidates(place_floors, which, de
     assume(any(nums))
     u = field.from_integral_coords([F(n, den) for n in nums])
     mags = [u.embed(i).abs_sq() for i in range(d)]
+
+    def verdict(eps_sq):
+        return floor._float_verdict(nums, dens, float(eps_sq.lo) * (1 - 2.0 ** -40),
+                                    float(eps_sq.hi) * (1 + 2.0 ** -40))
+
     # epsilon^2 just above every certified |sigma(u)|^2: exact certification accepts u
     eps_sq = RealInterval.exact(max(m.hi for m in mags) * (1 + F(1, 2 ** slack)))
     assert max(m.hi for m in mags) < eps_sq.lo
-    assert floor._float_rejects(nums, dens, float(eps_sq.hi) * (1 + 2.0 ** -40)) is None
+    accepted, margin = verdict(eps_sq)
+    assert accepted is not False and margin is None
+    if accepted:
+        assert floor._certify(u, eps_sq, DEFAULT_PREC)[0]
     # epsilon^2 a little below some certified |sigma(u)|^2: floats reject u
     low = max(m.lo for m in mags) * (1 - F(1, 2 ** 20))
     if low > 0:
-        assert floor._float_rejects(nums, dens, float(low)) is not None
+        assert verdict(RealInterval.exact(low))[0] is False
+        assert not floor._certify(u, RealInterval.exact(low), DEFAULT_PREC)[0]
+    # epsilon^2 a quarter above, and no cancellation beyond 2^-30 of the
+    # coordinates' size in any sigma(u): floats accept u
+    if min(m.lo for m in mags) > (sum(abs(F(n, den)) for n in nums) / 2 ** 30) ** 2:
+        assert verdict(RealInterval.exact(max(m.hi for m in mags) * F(5, 4))) == (True, None)
 
 
 # -- exact Babai centre of the representative floor ----------------------------------
@@ -504,9 +535,10 @@ def test_centre_falls_back_on_huge_coordinates(monkeypatch):
     for jxi in float_centres:
         coords = field.to_integral_coords(jxi)
         dens = [c.denominator for c in coords]
-        survivors.append([tau for tau in _window(floor, coords) if floor._float_rejects(
+        survivors.append([tau for tau in _window(floor, coords) if floor._float_verdict(
             [c.numerator - t * q for c, t, q in zip(coords, tau, dens)], dens,
-            float(eps_sq.hi) * (1 + 2.0 ** -40)) is None])
+            float(eps_sq.lo) * (1 - 2.0 ** -40), float(eps_sq.hi) * (1 + 2.0 ** -40))[0]
+            is not False])
     assert all(survivors)
     jxi, (tau,) = float_centres[0], survivors[0]
     u = jxi - field.from_integral_coords(tau)

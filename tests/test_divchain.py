@@ -7,12 +7,25 @@ import pytest
 from padiccf import divchain as DC
 from padiccf import geometry as G
 from padiccf.cfengine import evaluate_cf
-from padiccf.errors import MissingClassData, NotCoprime, SearchExhausted
+from padiccf.errors import NotCoprime, SearchExhausted
 from padiccf.exactnf import new_field
 from padiccf.fieldspec import load_bundled
 from padiccf.ideals import SIntegerRing, primes_above
 
 F = Fraction
+
+
+def euclid_chain(a: int, b: int, ring: SIntegerRing) -> DC.DivisionChain:
+    """Classical Euclidean algorithm over Z (floor quotients): the oracle."""
+    field = ring.field
+    steps = []
+    x, y = a, b
+    while y != 0:
+        q, r = divmod(x, y)
+        steps.append((field.from_rational(q), field.from_rational(r)))
+        x, y = y, r
+    return DC.DivisionChain(ring=ring, a=field.from_rational(a), b=field.from_rational(b),
+                            steps=steps)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +95,8 @@ def test_non_s_integer_flagged(ring_q):
 
 def test_roundtrip_paper_chain(qz_setup):
     chain = paper_chain(qz_setup)
-    quotients = DC.chain_to_cf(chain)
+    assert chain.terminating
+    quotients = chain.quotients()
     back = DC.cf_to_chain(chain.a, chain.b, quotients, chain.ring)
     assert back.steps == chain.steps
 
@@ -91,10 +105,10 @@ def test_roundtrip_random_euclid(ring_q):
     rng = random.Random(79)
     for _ in range(40):
         a, b = rng.randint(-2000, 2000), rng.randint(1, 2000)
-        chain = DC.euclid_chain(a, b, ring_q)
+        chain = euclid_chain(a, b, ring_q)
         assert chain.length <= 2 + b.bit_length() * 2
-        assert DC.verify_chain(chain).all_ok
-        qs = DC.chain_to_cf(chain)
+        assert DC.verify_chain(chain).all_ok and chain.terminating
+        qs = chain.quotients()
         assert DC.cf_to_chain(chain.a, chain.b, qs, ring_q).steps == chain.steps
         # classical gcd shows up as the last nonzero remainder
         nonzero = [r for _, r in chain.steps if not r.is_zero()]
@@ -106,7 +120,7 @@ def test_continuant_determinant(ring_q):
     rng = random.Random(83)
     for _ in range(40):
         a, b = rng.randint(1, 5000), rng.randint(1, 5000)
-        chain = DC.euclid_chain(a, b, ring_q)
+        chain = euclid_chain(a, b, ring_q)
         if not chain.steps:
             continue
         A, B = DC.continuants(chain.quotients())
@@ -131,21 +145,13 @@ def test_babai_round_ties_round_up(ring_q, qz_setup):
         assert field.to_integral_coords(rounded) == expected
 
 
-def test_class_obstruction():
-    kq = new_field([0, 1])
-    p5 = primes_above(kq, 5)[0]
-    ring = SIntegerRing(field=kq, S=(p5,))
-    a, b = kq.from_rational(7), kq.from_rational(3)
-    assert DC.class_obstruction(a, b, ring, class_number=1)
-    with pytest.raises(MissingClassData):
-        DC.class_obstruction(a, b, ring, class_number=2)
-    # h = 2 fixture: S classes trivial, (a,b) in the nontrivial class
-    data_bad = {"structure": [2], "s_classes": [[0]], "ab_class": [1]}
-    assert not DC.class_obstruction(a, b, ring, class_number=2, class_data=data_bad)
-    data_ok = {"structure": [2], "s_classes": [[0]], "ab_class": [0]}
-    assert DC.class_obstruction(a, b, ring, class_number=2, class_data=data_ok)
-    data_gen = {"structure": [2], "s_classes": [[1]], "ab_class": [1]}
-    assert DC.class_obstruction(a, b, ring, class_number=2, class_data=data_gen)
+def test_prime_ideal_of_index_divisor():
+    """Over Q(sqrt5) with O_K = Z[(1+sqrt5)/2], 2 divides the index
+    [O_K : Z[sqrt5]]: primes_above(2) is refused, so (2) is not recognised as
+    a prime and the stage-2 candidate is skipped instead of raising."""
+    k5 = new_field([-5, 0, 1], integral_basis=[[1, 0], [F(1, 2), F(1, 2)]])
+    assert DC._prime_ideal_of(k5.from_rational(2)) is None
+    assert DC._prime_ideal_of(k5.from_rational(3)) is not None
 
 
 def test_clw_trivial(ring_q):
@@ -235,7 +241,7 @@ def test_euclid_gcd_with_empty_s():
     rng = random.Random(97)
     for _ in range(25):
         a, b = rng.randint(-3000, 3000), rng.randint(1, 3000)
-        chain = DC.euclid_chain(a, b, ring)
+        chain = euclid_chain(a, b, ring)
         assert DC.verify_chain(chain).all_ok
         nonzero = [r for _, r in chain.steps if not r.is_zero()]
         if nonzero:

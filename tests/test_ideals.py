@@ -229,14 +229,6 @@ def test_ideal_mul_commutes_and_canonical(k14):
             assert ab == ba and ab.hnf == ba.hnf
 
 
-def test_ideal_intersection(k14):
-    ps = I.primes_above(k14, 5)
-    inter = ps[0].as_ideal.intersect(ps[1].as_ideal)
-    assert inter == I.principal_ideal(k14.from_rational(5))
-    p2 = I.primes_above(k14, 2)[0]
-    assert p2.as_ideal.intersect(p2.as_ideal) == p2.as_ideal
-
-
 def test_ideal_contains(k14, p5_split):
     assert p5_split.as_ideal.contains(k14.element([3, 1]))
     assert p5_split.as_ideal.contains(k14.from_rational(5))
@@ -345,6 +337,70 @@ def test_canonical_lift_cross_prime_denominator(k14):
     lifted = I.canonical_lift(eta, P, gamma)
     assert lifted.is_integral()
     assert I.valuation(eta - lifted, P) >= 1
+
+
+@pytest.mark.parametrize("p, gamma", [(2, (4, 1)), (7, (7, 2))])
+def test_canonical_lift_at_ramified_primes(k14, p, gamma):
+    """e = 2 above 2 and 7: the HNF path, the only one there, with p in the
+    denominators and v_P(eta) < 0 and >= 1."""
+    (P,) = I.primes_above(k14, p)
+    gamma = k14.element(gamma)
+    assert P.e == 2 and I._zp_root(P, 1) is None
+    assert I.principal_ideal(gamma) == P.as_ideal
+    rng = random.Random(p)
+    for _ in range(40):
+        eta = k14.element([F(rng.randint(-60, 60), rng.randint(1, 30) * rng.choice((1, p, p * p)))
+                           for _ in range(2)]) * gamma ** rng.randint(-2, 2)
+        if not eta.is_zero():
+            _lift_postconditions(eta, P, gamma, k14)
+
+
+@pytest.fixture(scope="module")
+def zp_primes(k14):
+    """(P, gamma) at degree-one primes: both above 48953 and the prime
+    (3 + sqrt14) above 5 in Q(sqrt14), one above 1009 in Q(z), z^3 + z + 1 = 0,
+    both above 19 in table1 row 5, and both above 2 in Q(w), w^2 - w - 4 = 0,
+    where the centred residue mod 2^n has its one tie."""
+    units14 = UnitSystem(units=(fundamental_unit_real_quadratic(k14),))
+    cases = [(P, units14) for P in I.primes_above(k14, 48953)]
+    cases.append((I.primes_above(k14, 5)[1], None))
+    qz3 = load_bundled("qz3.json")
+    cases.append((I.primes_above(qz3.field, 1009)[0], qz3.units))
+    row5 = load_bundled("table1/row5.json")
+    cases += [(P, row5.units) for P in I.primes_above(row5.field, 19) if P.f == 1]
+    cases += [(P, None) for P in I.primes_above(new_field([-4, -1, 1]), 2)]
+    out = [(P, I.principal_generator(P, units)) for P, units in cases]
+    assert len(out) == 8 and all(I._zp_root(P, 1) is not None for P, _ in out)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.integers(0, 7),
+    nums=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4),
+    den=st.integers(1, 10 ** 4),
+    p_exp=st.integers(0, 3),
+    g_exp=st.integers(-3, 3),
+)
+def test_zp_path_equals_hnf_path(zp_primes, which, nums, den, p_exp, g_exp):
+    """At e = f = 1 valuation and the residue under canonical_lift on
+    Z/p^N equal the HNF path, with p in the coordinate denominators and
+    v_P(eta) < 0 and >= 1."""
+    P, gamma = zp_primes[which]
+    field = P.field
+    eta = field.element([F(n, den * P.p ** p_exp) for n in nums[:field.degree]]) * gamma ** g_exp
+    assume(not eta.is_zero())
+    v = I.valuation(eta, P)
+    assert v == I._valuation_hnf(eta, P)
+    lifted = I.canonical_lift(eta, P, gamma)
+    if v >= 1:
+        assert lifted.is_zero()
+        return
+    k = max(0, -v)
+    mu = eta * gamma ** k
+    assert I._residue_zp(mu, P, k + 1) == I._residue_hnf(mu, P, k + 1)
+    assert lifted == I._residue_hnf(mu, P, k + 1) / gamma ** k
+    assert lifted == eta or I.valuation(eta - lifted, P) >= 1
 
 
 # -- principal generators ---------------------------------------------------------------
