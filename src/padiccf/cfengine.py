@@ -54,20 +54,9 @@ class BrowkinFloor:
         field = eta.field
         if field.degree != 1:
             raise FloorFailure("Browkin floor is defined over Q only")
-        x = eta.coords[0]
-        if x == 0:
-            return field.zero()
-        p = self.p
-        num, den = x.numerator, x.denominator
-        k = 0
-        while den % p == 0:
-            den //= p
-            k += 1
-        mod = p ** (k + 1)
-        u = num * pow(den, -1, mod) % mod
-        if 2 * u > mod:  # centered representative; mod is odd, no ties
-            u -= mod
-        return field.from_rational(Fraction(u, p ** k))
+        # P = (p) has the HNF box [-p^n/2, p^n/2) of P^n: the digits are the
+        # centred ones, with no ties as p is odd
+        return canonical_lift(eta, primes_above(field, self.p)[0], field.from_rational(self.p))
 
     def describe(self) -> str:
         return f"browkin(p={self.p})"

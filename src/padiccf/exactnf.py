@@ -68,10 +68,9 @@ class NumberField:
         self.degree = d
         self._min_poly_disc = int(disc_poly)
 
+        identity = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
         if integral_basis is None:
-            self.integral_basis = tuple(
-                tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
-            )
+            self.integral_basis = identity
             self._basis_inv = self.integral_basis
             self.index = 1
             if field_disc is not None and field_disc != self._min_poly_disc:
@@ -99,6 +98,7 @@ class NumberField:
                     f"disc(min_poly)/index^2 = {expected} != stated field_disc {field_disc}"
                 )
             self.field_disc = expected
+        self._power_integral_basis = self.integral_basis == identity
 
         r1 = count_real_roots([Fraction(c) for c in coeffs]) if d > 1 else 1
         self.signature = (r1, (d - r1) // 2)
@@ -163,7 +163,7 @@ class NumberField:
 
     def to_integral_coords(self, x: "NFElement") -> tuple[Fraction, ...]:
         """Coordinates of x over the integral basis."""
-        if self.index == 1 and self.integral_basis[0][0] == 1:
+        if self._power_integral_basis:
             return x.coords
         inv = self._basis_inv
         return tuple(

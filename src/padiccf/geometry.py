@@ -81,36 +81,10 @@ def covering_radius_upper(basis: list[list[RealInterval]], prec: int = DEFAULT_P
 
 
 def _check_independent(basis: list[list[RealInterval]]) -> None:
-    r = len(basis)
-    gram = [[sum((a * b for a, b in zip(u, v)), RealInterval.exact(0)) for v in basis] for u in basis]
-    det = _interval_det(gram)
-    if not det.certainly_positive():
+    """A nonzero pivot at every step proves the Gram determinant nonzero, and
+    so positive, as a Gram matrix is positive semidefinite."""
+    if _solve_lattice_coeffs(basis, [RealInterval.exact(0)] * len(basis[0])) is None:
         raise DependentBasis("Gram determinant not certifiably positive")
-
-
-def _interval_det(mat: list[list[RealInterval]]) -> RealInterval:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = RealInterval.exact(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not m[r][col].straddles_zero():
-                piv = r
-                break
-        if piv is None:
-            return RealInterval(-1, 1)  # sign undecidable
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if not (m[r][col].lo == 0 and m[r][col].hi == 0):
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-    return det
 
 
 def log_lattice(field: NumberField, units: UnitSystem) -> LogLattice:

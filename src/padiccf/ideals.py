@@ -465,12 +465,12 @@ class PrimeIdealData:
 
 def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
     """Dedekind-Kummer factorization of (p); requires p coprime to the index."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     cache_key = ("primes", p)
     cached = field._prime_cache.get(cache_key)
     if cached is not None:
         return cached
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if field.index % p == 0:
         raise IndexDivisor(f"prime {p} divides the index [O_K : Z[alpha]] = {field.index}")
     d = field.degree
@@ -587,7 +587,13 @@ def _valuation_hnf(x: NFElement, P: PrimeIdealData) -> int:
 
 
 class ResidueField:
-    """Arithmetic in O_K/P as F_p[t]/(gbar), alpha mapsto t."""
+    """Arithmetic in O_K/P as F_p[t]/(gbar), alpha mapsto t, for the unit
+    match of division chains (divchain._match_unit); the floor computes mod P
+    with the _fp_* helpers instead.
+
+    Known defect: for f > 1, inv runs Euclid modulo factor_poly + [1], a
+    polynomial one degree too high, so its inverses are wrong; the strict
+    xfail test_residue_field_inverse_at_inert_prime pins it."""
 
     def __init__(self, P: PrimeIdealData):
         self.P = P
@@ -631,12 +637,6 @@ class ResidueField:
 
     def one(self) -> tuple[int, ...]:
         return tuple([1 % self.p] + [0] * (self.f - 1))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple[int, ...]:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b) -> tuple[int, ...]:
         out = [0] * (2 * self.f - 1) if self.f > 1 else [0]
@@ -697,10 +697,6 @@ class ResidueField:
             raise ZeroDivisionError("element not invertible in residue field")
         c = pow(r0[0], -1, p)
         return self._poly_mod([x * c % p for x in s0])
-
-    def element_from(self, t: tuple[int, ...]) -> NFElement:
-        """Integral lift with power-basis coordinates in [0, p)."""
-        return self.P.field.element([Fraction(c) for c in t] + [Fraction(0)] * (self.P.field.degree - len(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +766,15 @@ def _beta_avoiding_p(P: PrimeIdealData) -> NFElement:
 
 
 def invert_mod_prime_power(b: NFElement, P: PrimeIdealData, k: int) -> NFElement:
-    """x in O_K with b*x = 1 mod P^k, via residue-field inverse + Hensel."""
-    rf = P.residue_field()
-    x = rf.element_from(rf.inv(rf.reduce(b)))
+    """x in O_K with b*x = 1 mod P^k, for b in O_K with v_P(b) = 0.  The
+    inverse mod P is Fermat's in O_K/P = F_p[t]/(g), alpha -> t, g = factor_poly:
+    den*b lies in Z[alpha] for its power-basis denominator den, which is prime
+    to p as p does not divide the index, so b^-1 = den * (den*b)^(N(P)-2) mod P.
+    Hensel's iteration then doubles the precision."""
+    p = P.p
+    den = lcm(*(c.denominator for c in b.coords))
+    inv = _fp_powmod([int(c * den) % p for c in b.coords], P.norm - 2, P.factor_poly, p)
+    x = P.field.element([c * den for c in inv])
     reached = 1
     one = P.field.one()
     while reached < k:
@@ -956,6 +958,8 @@ class SIntegerRing:
     denominator or a norm.  A rational prime not under S that divides it
     already answers, so nothing is factored: the rational primes under S are
     divided out, and only the primes Q not in S above them need a valuation.
+    Every such Q is valued, whether or not p divides the norm: v_Q can be
+    nonzero while v_p of the norm cancels against a prime of S above p.
     """
 
     field: NumberField
@@ -963,14 +967,13 @@ class SIntegerRing:
 
     def _outside_s(self, n: int) -> list[PrimeIdealData] | None:
         """None if a rational prime not under S divides n != 0; otherwise the
-        primes Q not in S above the rational primes under S that divide n."""
+        primes Q not in S above the rational primes under S."""
         n = abs(n)
         out = []
         for p in sorted({q.p for q in self.S}):
-            if n % p == 0:
-                while n % p == 0:
-                    n //= p
-                out += [q for q in primes_above(self.field, p) if q not in self.S]
+            while n % p == 0:
+                n //= p
+            out += [q for q in primes_above(self.field, p) if q not in self.S]
         return out if n == 1 else None
 
     def contains(self, x: NFElement) -> bool:
@@ -982,9 +985,9 @@ class SIntegerRing:
         return others is not None and all(valuation(x, q) >= 0 for q in others)
 
     def is_unit(self, x: NFElement) -> bool:
-        """S-unit test: v_Q(x) = 0 for every Q not in S above a prime dividing
-        N(x).  v_p(N(x)) = sum_Q f_Q v_Q(x), so a prime not under S that
-        divides N(x) lies under some Q with v_Q(x) != 0."""
+        """S-unit test: v_Q(x) = 0 for every Q not in S above a prime under S.
+        v_p(N(x)) = sum_Q f_Q v_Q(x), so a prime not under S that divides N(x)
+        lies under some Q with v_Q(x) != 0."""
         if x.is_zero():
             return False
         nrm = x.norm()

@@ -82,6 +82,34 @@ def test_browkin_digit_structure(kq, browkin5):
         assert abs(s.numerator) * 2 < 5 ** (k + 1) or s == 0
 
 
+def _browkin_digit(x: Fraction, p: int) -> Fraction:
+    """The centred-digit floor computed directly: u/p^k with u = x*p^k mod
+    p^(k+1) in (-p^(k+1)/2, p^(k+1)/2), p^k the p-part of x's denominator."""
+    if x == 0:
+        return F(0)
+    num, den = x.numerator, x.denominator
+    k = 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    mod = p ** (k + 1)
+    u = num * pow(den, -1, mod) % mod
+    if 2 * u > mod:
+        u -= mod
+    return F(u, p ** k)
+
+
+BROWKIN_PRIMES = (3, 5, 7, 11, 13, 101, 3317044064679887385962123)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BROWKIN_PRIMES), st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12),
+       st.integers(0, 3))
+def test_browkin_floor_matches_digit_oracle(kq, p, num, den, k):
+    x = F(num, den * p ** k)
+    assert CF.BrowkinFloor(p).apply(kq.from_rational(x)).coords[0] == _browkin_digit(x, p)
+
+
 def test_representative_floor_q_examples(kq):
     p5 = primes_above(kq, 5)[0]
     fl = CF.RepresentativeFloor(p5, kq.from_rational(5), 2, RealInterval.exact(F(1, 2)))

@@ -89,6 +89,14 @@ def test_integral_basis_field():
         new_field([-5, 0, 1], integral_basis=[[1, 0], [F(1, 2), F(1, 2)]], field_disc=20)
 
 
+def test_integral_coords_over_unimodular_basis():
+    # index 1 and b_0 = 1, yet b_1 = 1 + sqrt14 is not the power basis
+    k = new_field([-14, 0, 1], integral_basis=[[1, 0], [1, 1]])
+    root = k.generator()
+    assert k.to_integral_coords(root) == (-1, 1)
+    assert k.from_integral_coords(k.to_integral_coords(root)) == root
+
+
 # -- arithmetic ----------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from padiccf import divchain as DC
 from padiccf import ideals as I
 from padiccf.errors import IndexDivisor, NotIntegralAtI, SearchExhausted, ZeroValuation
 from padiccf.exactnf import new_field
-from padiccf.fieldspec import load_bundled
+from padiccf.fieldspec import bundled_table1_names, load_bundled
 from padiccf.geometry import UnitSystem, fundamental_unit_real_quadratic
 
 F = Fraction
@@ -282,6 +282,33 @@ def test_residue_field_inverse_at_inert_prime(k14):
 # -- canonical lifts -----------------------------------------------------------------
 
 
+def test_canonical_lift_at_primes_with_ef_above_one():
+    """Lift postconditions at every prime with e*f > 1 above p < 50 (p prime
+    to the index) of the bundled fields, where the lift inverts mod P in
+    F_p[t]/(g); eta has p^0 to p^2 in its denominators."""
+    names = ["qsqrt14.json", "qz3.json"] + bundled_table1_names()
+    primes = 0
+    for name in names:
+        field = load_bundled(name).field
+        for p in filter(I.is_prime, range(2, 50)):
+            if field.index % p == 0:
+                continue
+            for P in I.primes_above(field, p):
+                if P.e * P.f == 1:
+                    continue
+                primes += 1
+                gamma = I.principal_generator(P)
+                ring = I.SIntegerRing(field, (P,))
+                rng = random.Random(1000 * p + primes)
+                for _ in range(10):
+                    eta = field.element([F(rng.randint(-50, 50), rng.randint(1, 9) * p ** rng.randint(0, 2))
+                                         for _ in range(field.degree)])
+                    lifted = I.canonical_lift(eta, P, gamma)
+                    assert eta == lifted or I.valuation(eta - lifted, P) >= 1
+                    assert ring.contains(lifted)
+    assert primes == 125
+
+
 def test_canonical_lift_examples(kq):
     p5q = I.primes_above(kq, 5)[0]
     g = kq.from_rational(5)
@@ -469,6 +496,17 @@ def test_s_integer_membership(kq, k14):
     assert not ring14.contains(k14.one() / k14.element([3, -1]))
 
 
+def test_s_integer_predicates_when_norm_valuations_cancel(k14, p5_split):
+    """In Q(sqrt14), x = (3 - sqrt14)/(3 + sqrt14) has norm 1 but valuation 1
+    at the prime (3 - sqrt14) above 5, which is outside S = {(3 + sqrt14)}."""
+    ring = I.SIntegerRing(field=k14, S=(p5_split,))
+    other = k14.element([3, -1])
+    x = other / k14.element([3, 1])
+    assert x.norm() == 1 and ring.contains(x)
+    assert not ring.is_unit(x)
+    assert not ring.coprime(x, other)
+
+
 def test_s_integer_predicates_at_index_divisors():
     """Over Q(sqrt5) with O_K = Z[(1+sqrt5)/2], 2 divides the index
     [O_K : Z[sqrt5]] and primes_above(2) is refused.  The predicates still
@@ -482,8 +520,10 @@ def test_s_integer_predicates_at_index_divisors():
     assert not ring.coprime(two, two * sqrt5) and ring.coprime(two, sqrt5)
 
 
-# The predicates as they were defined before, by factoring the denominator or
-# the norm and asking every prime above each rational prime factor.
+# The predicates defined by factoring and asking every prime above each rational
+# prime factor.  For x = y/b with y integral, v_Q(x) != 0 only where Q divides
+# y or b, so it is N(y)*b that is factored, not N(x), in which the valuations
+# at two primes above one p can cancel.
 
 
 def _over_factors(ring, n, ok):
@@ -496,15 +536,16 @@ def _contains_by_factoring(ring, x):
 
 
 def _is_unit_by_factoring(ring, x):
-    nrm = x.norm()
-    return _over_factors(ring, nrm.numerator * nrm.denominator, lambda q: I.valuation(x, q) == 0)
+    y, b = x.content_split()
+    return _over_factors(ring, int(y.norm()) * b, lambda q: I.valuation(x, q) == 0)
 
 
 def _coprime_by_factoring(ring, a, b):
+    # v_Q(aO_K + bO_K) > 0 only where Q divides a's integral numerator
     g = I.principal_ideal(a).add(I.principal_ideal(b))
-    nrm = g.norm()
-    return _over_factors(ring, nrm.numerator * nrm.denominator, lambda q: min(
-        I.valuation(y, q) for y in g.basis_elements() if not y.is_zero()) <= 0)
+    y = (a if not a.is_zero() else b).content_split()[0]
+    return _over_factors(ring, int(y.norm()), lambda q: min(
+        I.valuation(e, q) for e in g.basis_elements() if not e.is_zero()) <= 0)
 
 
 def _prime_ideal_by_factoring(x):
