@@ -391,6 +391,7 @@ class CFExpansion:
     steps: list[StepRecord]
     status: tuple
     cap: int
+    height_c: RealInterval | None = None  # height_constant(a_0 - alpha), when expand computed it
 
     @property
     def is_finite(self) -> bool:
@@ -415,8 +416,11 @@ def expand(
     field = spec.field
     prime = spec.prime
     a0 = spec.floor_apply(alpha)
+    height_c = None
     if cap is None:
-        cap = min(c_alpha(alpha, a0, prime), HARD_CAP)
+        if a0 != alpha:
+            height_c = height_constant(a0 - alpha, prime)
+        cap = min(c_alpha(alpha, a0, prime, height_c), HARD_CAP)
     cap = max(cap, 1)
 
     partial: list[NFElement] = []
@@ -480,6 +484,7 @@ def expand(
         steps=steps,
         status=status,
         cap=cap,
+        height_c=height_c,
     )
 
 
@@ -645,7 +650,7 @@ def check_height_chain(exp: CFExpansion) -> tuple[bool, list[Fraction]]:
     diff = exp.partial_quotients[0] - exp.alpha
     if diff.is_zero():
         return True, []
-    c_iv = height_constant(diff, exp.spec.prime)
+    c_iv = exp.height_c if exp.height_c is not None else height_constant(diff, exp.spec.prime)
     nubar = exp.nu_max()
     if nubar is None:
         return True, []

@@ -136,12 +136,14 @@ def height_constant(diff: NFElement, P: PrimeIdealData) -> RealInterval:
     return c_inf * den_norm
 
 
-def c_alpha(alpha: NFElement, a0: NFElement, P: PrimeIdealData) -> int:
+def c_alpha(alpha: NFElement, a0: NFElement, P: PrimeIdealData,
+            c: RealInterval | None = None) -> int:
     """Iteration cap d*(2^(d+1)*ceil(C)+1)^(d+1), C = height_constant(a0 - alpha)
-    (1 when a0 = alpha)."""
+    (1 when a0 = alpha); a caller that already holds C passes it as c."""
     d = alpha.field.degree
-    diff = a0 - alpha
-    c_hi = Fraction(1) if diff.is_zero() else height_constant(diff, P).hi
+    if c is None and a0 != alpha:
+        c = height_constant(a0 - alpha, P)
+    c_hi = Fraction(1) if c is None else c.hi
     c_ceil = -((-c_hi.numerator) // c_hi.denominator)
     return d * (2 ** (d + 1) * int(c_ceil) + 1) ** (d + 1)
 

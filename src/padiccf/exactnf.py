@@ -103,17 +103,6 @@ class NumberField:
         r1 = count_real_roots([Fraction(c) for c in coeffs]) if d > 1 else 1
         self.signature = (r1, (d - r1) // 2)
 
-        # power-basis reduction table: alpha^(d+k) as coordinate rows
-        rows = []
-        current = [Fraction(-c) for c in coeffs[:d]]  # alpha^d
-        rows.append(tuple(current))
-        for _ in range(d - 2):
-            shifted = [Fraction(0)] + current[:-1]
-            overflow = current[-1]
-            current = [s + overflow * r for s, r in zip(shifted, rows[0])]
-            rows.append(tuple(current))
-        self._power_reduction = tuple(rows)
-
         self._embedding_cache: dict[int, list[ComplexInterval]] = {}
         self._cache_lock = threading.Lock()
         self._prime_cache: dict = {}  # primes_above and geometry.log_lattice results
@@ -195,6 +184,11 @@ def new_field(min_poly, integral_basis=None, field_disc=None) -> NumberField:
     return NumberField(min_poly, integral_basis=integral_basis, field_disc=field_disc)
 
 
+def _over_lcm(coords: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    den = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
 class NFElement:
     """Element of a NumberField with exact rational power-basis coordinates."""
 
@@ -222,22 +216,23 @@ class NFElement:
             q = Fraction(other)
             return NFElement(self.field, tuple(a * q for a in self.coords))
         other = self._coerce(other)
+        # integer numerators over one denominator each; reduce alpha^k, k >= d,
+        # from the top with the monic min_poly
+        (a, da), (b, db) = _over_lcm(self.coords), _over_lcm(other.coords)
         d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b != 0:
-                    prod[i + j] += a * b
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        mp = self.field.min_poly
+        for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
-            if c != 0:
-                red = self.field._power_reduction[k - d]
+            if c:
                 for j in range(d):
-                    out[j] += c * red[j]
-        return NFElement(self.field, tuple(out))
+                    prod[k - d + j] -= c * mp[j]
+        den = da * db
+        return NFElement(self.field, tuple(Fraction(x, den) for x in prod[:d]))
 
     __rmul__ = __mul__
 
@@ -399,10 +394,16 @@ def denominator_ideal_norm(x: NFElement) -> int:
     y, b = x.content_split()
     if b == 1:
         return 1
-    from . import ideals  # local import: ideals builds on exactnf
+    from .ideals import hnf_rows  # local import: ideals builds on exactnf
 
+    # (y) + (b) is spanned by y w_i (mod b) and b e_i over the integral basis w_i
     field = x.field
-    gcd_ideal = ideals.principal_ideal(y).add(ideals.principal_ideal(field.from_rational(b)))
-    n = Fraction(b) ** field.degree / gcd_ideal.norm()
-    assert n.denominator == 1
-    return int(n)
+    d = field.degree
+    rows = [[int(c) % b for c in field.to_integral_coords(y * NFElement(field, w))]
+            for w in field.integral_basis]
+    rows += [[b * (i == j) for j in range(d)] for i in range(d)]
+    h = hnf_rows(rows, d)
+    det = 1
+    for i in range(d):
+        det *= h[i][i]
+    return b ** d // det

@@ -7,12 +7,17 @@ exact; only the transcendental constructors (pi, log, exp, roots) round, and
 they always round *outward*, so a true value contained in the inputs is
 contained in the output.  Precision is a bit count: transcendental results are
 tightened to roughly 2^-prec relative width.
+
+The hot kernels run on Python ints: relative rounding (``_round_rel``) and
+the Horner evaluation ``eval_poly_interval`` carry integer numerators over a
+common denominator and build ``Fraction``s once, with endpoints identical to
+the ``Fraction`` definitions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -20,32 +25,29 @@ Rat = Union[int, Fraction]
 DEFAULT_PREC = 128
 
 
-def round_down(x: Fraction, prec: int) -> Fraction:
-    """Largest multiple of 2^-prec that is <= x."""
-    return Fraction((x.numerator << prec) // x.denominator, 1 << prec)
-
-
-def _log2_floor(x: Fraction) -> int:
-    """floor(log2(x)) for x > 0."""
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()  # x lies in (2^(e-1), 2^(e+1))
-    if (d << e if e >= 0 else d) > (n if e >= 0 else n << -e):
+def _round_rel(n: int, d: int, prec: int) -> tuple[int, int]:
+    """(m, s) with m/2^s = floor(x 2^s) for x = n/d (d > 0) and
+    s = max(prec - floor(log2|x|), 0): x rounded toward -inf keeping ~prec
+    significant bits, never to zero, and to floor(x) once |x| >= 2^prec."""
+    if n == 0:
+        return 0, 0
+    a = abs(n)
+    e = a.bit_length() - d.bit_length()  # |x| lies in (2^(e-1), 2^(e+1))
+    if (d << e if e >= 0 else d) > (a if e >= 0 else a << -e):
         e -= 1
-    return e
+    s = max(prec - e, 0)
+    return (n << s) // d, s
 
 
 def round_down_rel(x: Fraction, prec: int) -> Fraction:
     """Round toward -inf keeping ~prec significant bits (never to zero)."""
-    if x == 0:
-        return x
-    shift = prec - _log2_floor(abs(x))
-    if shift <= 0:
-        return round_down(x, 0) if x.denominator != 1 else x
-    return round_down(x, shift)
+    m, s = _round_rel(x.numerator, x.denominator, prec)
+    return Fraction(m, 1 << s)
 
 
 def round_up_rel(x: Fraction, prec: int) -> Fraction:
-    return -round_down_rel(-x, prec)
+    m, s = _round_rel(-x.numerator, x.denominator, prec)
+    return Fraction(-m, 1 << s)
 
 
 class RealInterval:
@@ -426,17 +428,37 @@ class ComplexInterval:
         return f"ComplexInterval(re={self.re!r}, im={self.im!r})"
 
 
-def eval_poly_interval(coeffs: list[Fraction], z: ComplexInterval, prec: int) -> ComplexInterval:
-    """Horner evaluation of an exact-rational polynomial on a rectangle.
+def _mul_ends(al: int, ah: int, bl: int, bh: int) -> tuple[int, int]:
+    p = (al * bl, al * bh, ah * bl, ah * bh)
+    return min(p), max(p)
 
-    At a real point (z.im exactly 0) every imaginary product is the exact
-    interval [0, 0], so Horner on z.re alone gives the same endpoints."""
-    if z.im.is_exact() and z.im.lo == 0:
-        real = RealInterval.exact(0)
-        for c in reversed(coeffs):
-            real = (real * z.re + c).rounded(prec + 16)
-        return ComplexInterval(real)
-    acc = ComplexInterval.exact(0)
+
+def eval_poly_interval(coeffs: list[Fraction], z: ComplexInterval, prec: int) -> ComplexInterval:
+    """Horner evaluation of an exact-rational polynomial on a rectangle, each
+    step rounded outward to prec + 16 bits as ``ComplexInterval.rounded`` does.
+
+    Runs on integers: z's endpoints over one denominator dz, the coefficients
+    over q, the accumulator over 2^s, so a step's exact value lies over
+    2^s dz q.  At a real point (z.im exactly 0) the imaginary part stays 0."""
+    bits = prec + 16
+    q = lcm(*(c.denominator for c in coeffs))
+    zs = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
+    dz = lcm(*(e.denominator for e in zs))
+    xl, xh, yl, yh = (e.numerator * (dz // e.denominator) for e in zs)
+    rl = rh = il = ih = s = 0
     for c in reversed(coeffs):
-        acc = (acc * z + ComplexInterval.exact(c)).rounded(prec + 16)
-    return acc
+        den = dz * q << s
+        cn = c.numerator * (q // c.denominator) * dz << s
+        lo, hi = _mul_ends(rl, rh, xl, xh)
+        if yl or yh:
+            a, b = _mul_ends(il, ih, yl, yh)
+            lo, hi = lo - b, hi - a
+            a, b = _mul_ends(rl, rh, yl, yh)
+            e, f = _mul_ends(il, ih, xl, xh)
+            il, ih = a + e, b + f
+        ends = (_round_rel(lo * q + cn, den, bits), _round_rel(-hi * q - cn, den, bits),
+                _round_rel(il * q, den, bits), _round_rel(-ih * q, den, bits))
+        s = max(t for _, t in ends)
+        rl, rh, il, ih = ((m << (s - t)) * sign for (m, t), sign in zip(ends, (1, -1, 1, -1)))
+    return ComplexInterval(RealInterval(Fraction(rl, 1 << s), Fraction(rh, 1 << s)),
+                           RealInterval(Fraction(il, 1 << s), Fraction(ih, 1 << s)))

@@ -143,6 +143,9 @@ GOLDEN_STDOUT_SHA256 = {
         "7263838bf15195f8f66819b5cd9c15d0c4294123c0fc8dcc85d03674c8de4aa8",
     "expand qz3 --prime 1009 --alpha 1/3,2/7,5 --floor representative --json":
         "72d1ca510af92fbdfb6bc21de17104c02eff2e25c344b5e79b28802c49b5b34d",
+    # a quartic with complex roots, at a residue-degree-2 prime
+    "verify-floor table1/row5 --prime 19 --prime-index 2 --floor representative --samples 20 --seed 1 --json":
+        "4b8f7285fe77dbe4c0f507bb3e8ec3cea5554d7c603fcb72acd80e626bf87682",
 }
 
 

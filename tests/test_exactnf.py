@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from padiccf.errors import DiscMismatch, DivideByZero, NotIrreducible
 from padiccf.exactnf import NumberField, denominator_ideal_norm, new_field, weil_height_pow_d
+from padiccf.fieldspec import load_bundled
 from padiccf.rootfinding import is_irreducible, poly_disc, poly_mul
 
 F = Fraction
@@ -213,6 +215,54 @@ def test_denominator_ideal_norm(k14):
     # (1+3*sqrt14)/5: numerator 1+3*sqrt14 has norm 1-126=-125; v at split primes
     assert n in (5, 25)
     assert denominator_ideal_norm(k14.element([2, 3])) == 1
+
+
+def _oracle_denominator_norm(x):
+    """b^d / N((y) + (b)) with the two principal ideals built and added."""
+    from padiccf.ideals import principal_ideal
+
+    y, b = x.content_split()
+    n = F(b) ** x.field.degree / principal_ideal(y).add(principal_ideal(x.field.from_rational(b))).norm()
+    assert n.denominator == 1
+    return int(n)
+
+
+@pytest.mark.parametrize("name", ["qsqrt14.json", "qz3.json", "table1/row5.json", "k5"])
+def test_denominator_ideal_norm_matches_ideal_sum(name):
+    """Over Q(sqrt14), qz3, a quartic and x^2 - 5 with the non-identity
+    integral basis (1, (1+sqrt5)/2)."""
+    k = (new_field([-5, 0, 1], integral_basis=[[1, 0], [F(1, 2), F(1, 2)]])
+         if name == "k5" else load_bundled(name).field)
+    rng = random.Random(name)
+    for _ in range(40):
+        dens = [rng.choice([1, 2, 3, 4, 5, 7, 12, 25, 49, 19 ** 3, 720]) for _ in range(k.degree)]
+        x = k.element([F(rng.randint(-10 ** 6, 10 ** 6), q) for q in dens])
+        if not x.is_zero():
+            assert denominator_ideal_norm(x) == _oracle_denominator_norm(x)
+
+
+def _oracle_product(x, y):
+    """Power-basis coordinates of x*y: Fraction convolution, then alpha^k
+    for k >= d reduced from the top with the monic minimal polynomial."""
+    d = x.field.degree
+    prod = [F(0)] * (2 * d - 1)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            prod[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        for j in range(d):
+            prod[k - d + j] -= prod[k] * x.field.min_poly[j]
+    return tuple(prod[:d])
+
+
+@pytest.mark.parametrize("k", [new_field([-3, 1]), new_field([-14, 0, 1]), new_field([1, -2, -1, 1]),
+                               new_field([3, 1, 0, -2, 1])], ids=["d1", "d2", "d3", "d4"])
+def test_product_matches_fraction_convolution(k):
+    rng = random.Random(k.degree)
+    for _ in range(100):
+        x, y = (k.element([F(rng.randint(-10 ** 20, 10 ** 20), rng.choice([1, 3, 7 ** 5, rng.randint(1, 10 ** 9)]))
+                           for _ in range(k.degree)]) for _ in range(2))
+        assert (x * y).coords == _oracle_product(x, y)
 
 
 @settings(max_examples=60, deadline=None)

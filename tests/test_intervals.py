@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padiccf.fieldspec import bundled_table1_names, load_bundled
 from padiccf.intervals import (
     ComplexInterval,
     RealInterval,
@@ -121,23 +124,83 @@ def test_rounded_is_outward():
     assert rt.lo > 0  # relative rounding never flushes to zero
 
 
-def _complex_horner(coeffs, z, prec):
-    acc = ComplexInterval.exact(0)
+# Oracle for the integer Horner kernel: the Fraction-interval Horner it
+# replaced, with its own copy of the relative rounding rule.
+
+
+def _oracle_round_down_rel(x: Fraction, prec: int) -> Fraction:
+    if x == 0:
+        return x
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    if Fraction(2) ** e > abs(x):
+        e -= 1  # e = floor(log2|x|)
+    shift = prec - e
+    if shift <= 0:
+        return Fraction(math.floor(x))
+    return Fraction(math.floor(x * 2 ** shift), 2 ** shift)
+
+
+def _oracle_round(iv, bits):
+    return _oracle_round_down_rel(iv[0], bits), -_oracle_round_down_rel(-iv[1], bits)
+
+
+def _oracle_mul(a, b):
+    products = [x * y for x in a for y in b]
+    return min(products), max(products)
+
+
+def _oracle_horner(coeffs, z, prec):
+    """(re lo, re hi, im lo, im hi) of Horner on (lo, hi) Fraction pairs,
+    each step rounded outward to prec + 16 bits."""
+    re, im = (z.re.lo, z.re.hi), (z.im.lo, z.im.hi)
+    acc_re = acc_im = (Fraction(0), Fraction(0))
     for c in reversed(coeffs):
-        acc = (acc * z + ComplexInterval.exact(c)).rounded(prec + 16)
-    return acc
+        p1, p2 = _oracle_mul(acc_re, re), _oracle_mul(acc_im, im)
+        p3, p4 = _oracle_mul(acc_re, im), _oracle_mul(acc_im, re)
+        acc_re = _oracle_round((p1[0] - p2[1] + c, p1[1] - p2[0] + c), prec + 16)
+        acc_im = _oracle_round((p3[0] + p4[0], p3[1] + p4[1]), prec + 16)
+    return (*acc_re, *acc_im)
 
 
-@settings(max_examples=100, deadline=None)
+def _endpoints(z):
+    return z.re.lo, z.re.hi, z.im.lo, z.im.hi
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     coeffs=st.lists(rationals, min_size=1, max_size=6),
     lo=rationals,
     width=st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40),
+    im=st.one_of(st.just(None), st.tuples(rationals, st.fractions(
+        min_value=0, max_value=1, max_denominator=2 ** 40))),
+    scale=st.sampled_from([0, 100, 200]),
     prec=st.sampled_from([32, 64, 128]),
 )
-def test_eval_poly_real_point_matches_complex_horner(coeffs, lo, width, prec):
-    z = ComplexInterval(RealInterval(lo, lo + width))
-    fast = eval_poly_interval(coeffs, z, prec)
-    ref = _complex_horner(coeffs, z, prec)
-    assert (fast.re.lo, fast.re.hi, fast.im.lo, fast.im.hi) == (
-        ref.re.lo, ref.re.hi, ref.im.lo, ref.im.hi)
+def test_eval_poly_real_point_matches_complex_horner(coeffs, lo, width, im, scale, prec):
+    """Real points, complex boxes (nonzero im) and coefficients scaled by
+    2^scale, past 2^(prec+16) where relative rounding is floor(x)."""
+    coeffs = [c * 2 ** scale for c in coeffs]
+    z = ComplexInterval(RealInterval(lo, lo + width),
+                        0 if im is None else RealInterval(im[0], im[0] + im[1]))
+    assert _endpoints(eval_poly_interval(coeffs, z, prec)) == _oracle_horner(coeffs, z, prec)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_eval_poly_on_bundled_root_boxes_matches_oracle(prec):
+    """Every root box of the bundled fields, at the two precisions the floor
+    uses, with p-power and random denominators and numerators up to
+    10^(prec/2), past 2^(prec+16)."""
+    rng = random.Random(prec)
+    names = ["qsqrt14.json", "qz3.json"] + bundled_table1_names()
+    boxes = [(k.degree, z) for k in (load_bundled(n).field for n in names)
+             for z in k.embeddings(prec)]
+    big = 0
+    for d, z in boxes:
+        for _ in range(4):
+            den = rng.choice([1, 7 ** rng.randint(1, 20), rng.randint(1, 10 ** 30)])
+            coeffs = [Fraction(rng.randint(-10 ** rng.randint(1, prec // 2), 10 ** (prec // 2)), den)
+                      for _ in range(d)]
+            ends = _endpoints(eval_poly_interval(coeffs, z, prec))
+            assert ends == _oracle_horner(coeffs, z, prec)
+            big += max(abs(e) for e in ends) >= 2 ** (prec + 16)
+    assert big > 0  # the shift <= 0 branch ran
