@@ -15,7 +15,7 @@ from itertools import product
 from .cfengine import continuants, evaluate_cf  # continuants: re-exported
 from .errors import NotCoprime, SearchExhausted, ZeroDenominator
 from .exactnf import NFElement
-from .ideals import PrimeIdealData, SIntegerRing, is_prime, primes_above, principal_ideal, valuation
+from .ideals import PrimeIdealData, SIntegerRing, is_prime, primes_above, valuation
 from .intervals import _int_nth_root_floor
 
 # ---------------------------------------------------------------------------
@@ -122,8 +122,11 @@ def _babai_round(x: NFElement) -> NFElement:
 
 
 def _prime_ideal_of(x: NFElement) -> PrimeIdealData | None:
-    """The prime Q with (x) = Q, if (x) is a prime ideal of O_K: then
-    |N(x)| = p^f with p prime and f <= d."""
+    """The prime Q with (x) = Q, if (x) is a prime ideal of O_K: then x is
+    integral and |N(x)| = p^f with p prime and f <= d.  For integral x,
+    |N(x)| = N(Q) and v_Q(x) = 1 leave no room for another prime factor."""
+    if not x.is_integral():
+        return None
     nrm = int(abs(x.norm()))
     for f in range(1, x.field.degree + 1):
         p = _int_nth_root_floor(nrm, f)
@@ -134,7 +137,7 @@ def _prime_ideal_of(x: NFElement) -> PrimeIdealData | None:
     if x.field.index % p == 0:
         return None  # primes_above needs p prime to the index
     for q in primes_above(x.field, p):
-        if q.norm == nrm and valuation(x, q) == 1 and principal_ideal(x) == q.as_ideal:
+        if q.norm == nrm and valuation(x, q) == 1:
             return q
     return None
 

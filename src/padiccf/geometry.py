@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 
 from .errors import CertificationFailed, DependentBasis, ZeroElement
@@ -128,16 +127,20 @@ def t0_from_rho(rho: RealInterval) -> RealInterval:
 def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
     """Multiply a by a unit so every |sigma(u*a)| <= T0 * |N(a)|^(1/d).
 
-    The balanced log vector of a is rounded to the nearest lattice vector
-    (coefficient rounding plus a +-1 neighborhood), and the result is
-    certified against the covering-radius bound.  The first round uses the
-    field's cached log lattice; escalation rounds recompute it.
+    The balanced log vector b of a lies in the trace-zero hyperplane, which
+    the unit log vectors ell(u_k) span: b = sum c_k ell(u_k).  Rounding each
+    c_k to the nearest integer n_k (Babai, Combinatorica 6, 1986) leaves
+    b - sum n_k ell(u_k) = sum (c_k - n_k) ell(u_k), whose sup-norm is at most
+    (1/2) sum |ell(u_k)|_inf, the covering-radius bound.  That vector is the
+    balanced log of a * prod u_k^(-n_k), so it is certified from b and the
+    lattice with no further logarithm; when the enclosures are too wide to
+    certify it, the precision doubles.  The first round uses the field's
+    cached log lattice; escalation rounds recompute it.
     """
     if a.is_zero():
         raise ZeroElement("unit_reduce of zero")
     field = a.field
-    r = len(units.units)
-    if r == 0:
+    if not units.units:
         return a
 
     working = DEFAULT_PREC
@@ -148,38 +151,30 @@ def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
         else:
             basis = [log_embedding(u, working) for u in units.units]
             rho = covering_radius_upper(basis, working)
-        rho_limit_hi = rho.hi + CERT_SLACK
-        log_norm = log_interval(abs(a.norm()), working)  # |N(u*a)| = |N(a)|
-        b = _balanced_log(a, working, log_norm)
+        b = _balanced_log(a, working)
         coeffs = _solve_lattice_coeffs(basis, b)
-        if coeffs is None:
-            working *= 2
-            continue
-        center = [int((c.midpoint() + Fraction(1, 2)).__floor__()) for c in coeffs]
-        for radius in (0, 1, 2):
-            for offset in product(range(-radius, radius + 1), repeat=r):
-                if radius and max(abs(o) for o in offset) != radius:
-                    continue
-                n = [c + o for c, o in zip(center, offset)]
-                candidate = a
-                for ui, ni in zip(units.units, n):
-                    if ni:
-                        candidate = candidate * ui ** (-ni)
-                w = b if candidate is a else _balanced_log(candidate, working, log_norm)
-                if _max_abs(w).hi <= rho_limit_hi:
-                    return candidate
+        if coeffs is not None:
+            n = [int((c.midpoint() + Fraction(1, 2)).__floor__()) for c in coeffs]
+            w = list(b)
+            for nk, vec in zip(n, basis):
+                if nk:
+                    w = [wi - vi * nk for wi, vi in zip(w, vec)]
+            if _max_abs(w).hi <= rho.hi + CERT_SLACK:
+                for u, nk in zip(units.units, n):
+                    if nk:
+                        a = a * u ** (-nk)
+                return a
         working *= 2
     raise CertificationFailed(
-        "unit reduction failed to certify the covering-radius bound; "
-        "widen the search or check the supplied units"
+        "unit reduction failed to certify the covering-radius bound; check the supplied units"
     )
 
 
-def _balanced_log(a: NFElement, prec: int, log_norm: RealInterval) -> list[RealInterval]:
-    """ell(a) - (log|N(a)|/d) * (1,..,1,2,..,2), one coordinate per place;
-    log_norm encloses log|N(a)|."""
+def _balanced_log(a: NFElement, prec: int) -> list[RealInterval]:
+    """ell(a) - (log|N(a)|/d) * (1,..,1,2,..,2), one coordinate per place."""
     r1 = a.field.signature[0]
     d = a.field.degree
+    log_norm = log_interval(abs(a.norm()), prec)
     out = []
     for i, v in enumerate(log_embedding(a, prec)):
         weight = Fraction(1 if i < r1 else 2, d)

@@ -632,9 +632,6 @@ class ResidueField:
         coeffs = [int(c * den) * dinv % self.p for c in x.coords]
         return self._poly_mod(coeffs)
 
-    def zero(self) -> tuple[int, ...]:
-        return tuple([0] * self.f)
-
     def one(self) -> tuple[int, ...]:
         return tuple([1 % self.p] + [0] * (self.f - 1))
 
@@ -838,24 +835,27 @@ def _residue_hnf(mu: NFElement, P: PrimeIdealData, n: int) -> NFElement:
 
 
 def _lll_reduce_rows(rows: list[list[int]], embed_rows: list[list[float]]) -> list[list[int]]:
-    """Textbook float LLL on the lattice spanned by rows; exact integer ops
-    on the coordinate rows, float Gram-Schmidt on the embedding image."""
+    """Textbook float LLL (delta = 0.99) on the lattice spanned by rows; exact
+    integer ops on the coordinate rows, float Gram-Schmidt on the embedding
+    image, recomputed after every change."""
     coords = [list(r) for r in rows]
     n = len(coords)
     if n <= 1:
         return coords
-    import numpy as np
+    basis = [[float(x) for x in r] for r in embed_rows]
 
-    basis = np.array(embed_rows, dtype=float)
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
 
-    def gso(b):
-        bstar = b.copy()
-        mu = np.zeros((n, n))
-        for i in range(1, n):
+    def gso():
+        bstar, mu = [], [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            v = basis[i]
             for j in range(i):
-                denom = float(bstar[j] @ bstar[j])
-                mu[i, j] = float(b[i] @ bstar[j]) / denom if denom else 0.0
-                bstar[i] = bstar[i] - mu[i, j] * bstar[j]
+                denom = dot(bstar[j], bstar[j])
+                mu[i][j] = dot(basis[i], bstar[j]) / denom if denom else 0.0
+                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+            bstar.append(v)
         return bstar, mu
 
     delta = 0.99
@@ -863,19 +863,17 @@ def _lll_reduce_rows(rows: list[list[int]], embed_rows: list[list[float]]) -> li
     guard = 0
     while k < n and guard < 10000:
         guard += 1
-        bstar, mu = gso(basis)
+        bstar, mu = gso()
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mu[k][j])
             if q:
-                basis[k] = basis[k] - q * basis[j]
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
                 coords[k] = [a - q * b for a, b in zip(coords[k], coords[j])]
-                bstar, mu = gso(basis)
-        lhs = float(bstar[k] @ bstar[k])
-        rhs = (delta - mu[k, k - 1] ** 2) * float(bstar[k - 1] @ bstar[k - 1])
-        if lhs >= rhs:
+                bstar, mu = gso()
+        if dot(bstar[k], bstar[k]) >= (delta - mu[k][k - 1] ** 2) * dot(bstar[k - 1], bstar[k - 1]):
             k += 1
         else:
-            basis[[k - 1, k]] = basis[[k, k - 1]]
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
             coords[k - 1], coords[k] = coords[k], coords[k - 1]
             k = max(k - 1, 1)
     return coords

@@ -229,6 +229,7 @@ for argv in (["field-info", "qsqrt14"], ["constants", "qsqrt14", "--json"],
     run(argv)
 print(*[m for m in heavy if m in sys.modules])
 run(["divchain", "qsqrt14", "--a=20,-14", "--b=-3,-5", "--S", "5"], 3)
+print(*[m for m in heavy if m in sys.modules])
 run(["expand", "qq", "--prime", "3317044064679887385962123", "--alpha", "7/3", "--json"])
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -241,15 +242,17 @@ def test_cold_start_imports_no_sympy_or_numpy():
     """With sympy blocked, a fresh `import padiccf.cli` loads neither numpy nor
     mpmath, and these commands (over Q and the totally real Q(sqrt14)) load
     no numpy.  Without sympy, a division-chain search over Q(sqrt14) that
-    exhausts its caps after many S-integrality questions exits 3, an
+    exhausts its caps after many S-integrality questions exits 3 and loads no
+    numpy either (its principal generators reduce their lattice in Python), an
     expansion at a prime above psi_13 runs, and an expansion at a large prime
     of Q(sqrt14) prints its golden report."""
     proc = subprocess.run([sys.executable, "-c", COLD_START, *Q14_LARGE], capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_commands, digest = proc.stdout.splitlines()
+    after_import, after_commands, after_divchain, digest = proc.stdout.splitlines()
     assert after_import == ""
     assert "numpy" not in after_commands.split()
+    assert "numpy" not in after_divchain.split()
     assert digest == GOLDEN_STDOUT_SHA256[" ".join(Q14_LARGE)]
 
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import floor
 
 import pytest
 
@@ -124,6 +126,47 @@ def test_unit_reduce_lemma_bound(k14, units14):
         for i in range(2):
             mag = red.embed(i, 128).abs_interval(128)
             assert mag.lo <= bound.hi
+
+
+def _ring_search(a, units):
+    """unit_reduce by search: the rounded lattice point, then rings 1 and 2
+    of exponents around it, each candidate certified from its own logs."""
+    lat = G.log_lattice(a.field, units)
+    limit = lat.covering_radius_upper.hi + G.CERT_SLACK
+    coeffs = G._solve_lattice_coeffs(lat.basis, G._balanced_log(a, DEFAULT_PREC))
+    center = [floor(c.midpoint() + F(1, 2)) for c in coeffs]
+    for radius in (0, 1, 2):
+        for offset in product(range(-radius, radius + 1), repeat=len(center)):
+            if radius and max(map(abs, offset)) != radius:
+                continue
+            cand = a
+            for u, c, o in zip(units.units, center, offset):
+                cand = cand * u ** -(c + o)
+            if G._max_abs(G._balanced_log(cand, DEFAULT_PREC)).hi <= limit:
+                return cand
+    raise AssertionError(f"no reduced element near {a}")
+
+
+def test_unit_reduce_equals_ring_search():
+    """The one rounding picks the element that the ring search accepts first,
+    also where the log coefficient of 4+sqrt14 sits on a half-integer."""
+    rng = random.Random(29)
+    cases = []
+    for name in ("qsqrt14.json", "qz3.json", "table1/row5.json"):
+        lf = load_bundled(name)
+        d = lf.field.degree
+        for _ in range(18):
+            a = lf.field.element([F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(d)])
+            if not a.is_zero():
+                for u in lf.units.units:
+                    a = a * u ** rng.randint(-2, 2)
+                cases.append((a, lf.units))
+        if name == "qsqrt14.json":
+            cases += [(lf.field.element([4, 1]) * lf.units.units[0] ** k, lf.units)
+                      for k in range(-3, 4)]
+    assert len(cases) >= 55
+    for a, units in cases:
+        assert G.unit_reduce(a, units) == _ring_search(a, units), a
 
 
 def test_unit_reduce_embeds_no_unit(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -473,6 +474,49 @@ def test_principal_generator_pinned(name, p):
     assert ",".join(str(c) for c in gamma.coords) == GENERATORS[name, p]
 
 
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("name,p", list(GENERATORS))
+def test_lll_reduce_rows_is_reduced_basis_of_the_ideal(name, p):
+    """The reduced rows span the ideal (same HNF), and their embedding images
+    are size-reduced and meet the Lovasz condition with delta = 0.99."""
+    lf = load_bundled(name)
+    q = next(q for q in I.primes_above(lf.field, p) if q.e == 1 and q.f == 1)
+    ideal = q.as_ideal
+    reduced = I._lll_reduce_rows([list(r) for r in ideal.hnf],
+                                 [b.float_minkowski() for b in ideal.basis_elements()])
+    assert I.hnf_rows(reduced, lf.field.degree) == ideal.hnf
+    bstar = []
+    for k, row in enumerate(reduced):
+        v = lf.field.from_integral_coords(row).float_minkowski()
+        mu = [_dot(v, w) / _dot(w, w) for w in bstar]
+        assert all(abs(m) <= 0.5 + 2 ** -20 for m in mu)
+        for m, w in zip(mu, bstar):
+            v = [x - m * y for x, y in zip(v, w)]
+        if k:
+            assert _dot(v, v) >= (0.99 - mu[-1] ** 2) * _dot(bstar[-1], bstar[-1])
+        bstar.append(v)
+
+
+# sha256 of the lines "<field> <p> <i> <coords of gamma>" for every prime ideal
+# above p < 30 of the bundled fields of degree > 1, as the ring search of unit
+# exponents and a numpy LLL gave them
+GENERATOR_SWEEP_SHA256 = "7ba4a29977a449dffd29fa12bb189a44c15d22e04e2c1772bd9a0bd2d4105b86"
+
+
+def test_principal_generator_sweep():
+    lines = []
+    for name in ["qsqrt14.json", "qz3.json"] + bundled_table1_names():
+        lf = load_bundled(name)
+        for p in filter(I.is_prime, range(2, 30)):
+            for i, q in enumerate(I.primes_above(lf.field, p)):
+                gamma = I.principal_generator(q, lf.units)
+                lines.append(f"{name} {p} {i} " + ",".join(str(c) for c in gamma.coords))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GENERATOR_SWEEP_SHA256
+
+
 def test_degree_one_prime_scan(k14):
     primes = I.degree_one_primes_above(k14, 48896, 3)
     assert len(primes) == 3
@@ -607,7 +651,11 @@ def test_s_integer_predicates_match_factoring(s_fields, name, under_s, all_above
     pairs = [(a, b), (s_unit, b)] + ([(a * c * pi, b * c * pi)] if not c.is_zero() else [])
     for a, b in pairs:
         assert ring.coprime(a, b) == _coprime_by_factoring(ring, a, b)
-    for elt in (pi * unit, pi * pi, y, y * z, I.principal_generator(S[0], lf.units) * unit):
+    # in Q(sqrt14), pi * g1 / g2 with (g1), (g2) the primes above 5 is not
+    # integral, yet |N| = N((pi)) and its valuation at (pi) is 1
+    fives = [I.principal_generator(q, lf.units) for q in I.primes_above(k, 5)]
+    for elt in (pi * unit, pi * pi, y, y * z, I.principal_generator(S[0], lf.units) * unit,
+                pi * fives[0] / fives[-1]):
         assert DC._prime_ideal_of(elt) == _prime_ideal_by_factoring(elt)
 
 
