@@ -84,10 +84,10 @@ def _resolve_field(arg: str) -> LoadedField:
     path = Path(arg)
     if path.exists():
         return load_field_file(path)
-    try:
-        return load_bundled(arg if arg.endswith(".json") else arg + ".json")
-    except Exception:
+    name = arg if arg.endswith(".json") else arg + ".json"
+    if not bundled_path(name).is_file():
         raise FieldSpecError(f"field file {arg!r} not found (not a path or bundled name)")
+    return load_bundled(name)
 
 
 def _emit(report: dict, args, lines: list[str]) -> None:

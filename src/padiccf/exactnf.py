@@ -17,7 +17,6 @@ from .errors import DiscMismatch, DivideByZero, NotIrreducible
 from .intervals import DEFAULT_PREC, ComplexInterval, RealInterval, eval_poly_interval
 from .rootfinding import (
     certified_roots,
-    count_real_roots,
     is_irreducible,
     mat_det,
     poly_disc,
@@ -61,7 +60,7 @@ class NumberField:
             raise NotIrreducible("minimal polynomial must be monic")
         disc_poly = poly_disc([Fraction(c) for c in coeffs])
         assert disc_poly.denominator == 1
-        if d > 1 and (disc_poly == 0 or not is_irreducible(coeffs)):
+        if disc_poly == 0 or not is_irreducible(coeffs, roots := certified_roots(coeffs, DEFAULT_PREC)):
             raise NotIrreducible(f"min_poly {coeffs} (constant term first) is reducible over Q")
 
         self.min_poly: tuple[int, ...] = tuple(coeffs)
@@ -100,10 +99,10 @@ class NumberField:
             self.field_disc = expected
         self._power_integral_basis = self.integral_basis == identity
 
-        r1 = count_real_roots([Fraction(c) for c in coeffs]) if d > 1 else 1
+        r1 = sum(r.im.lo == r.im.hi == 0 for r in roots)
         self.signature = (r1, (d - r1) // 2)
 
-        self._embedding_cache: dict[int, list[ComplexInterval]] = {}
+        self._embedding_cache: dict[int, list[ComplexInterval]] = {DEFAULT_PREC: roots}
         self._cache_lock = threading.Lock()
         self._prime_cache: dict = {}  # primes_above and geometry.log_lattice results
 
@@ -133,14 +132,11 @@ class NumberField:
     # -- embeddings -----------------------------------------------------------
 
     def embeddings(self, prec: int = DEFAULT_PREC) -> list[ComplexInterval]:
+        # under the lock, so that threads asking for one precision compute it once
         with self._cache_lock:
-            cached = self._embedding_cache.get(prec)
-        if cached is not None:
-            return cached
-        roots = certified_roots(list(self.min_poly), prec)
-        with self._cache_lock:
-            self._embedding_cache[prec] = roots
-        return roots
+            if prec not in self._embedding_cache:
+                self._embedding_cache[prec] = certified_roots(list(self.min_poly), prec)
+            return self._embedding_cache[prec]
 
     def minkowski_places(self) -> list[int]:
         """Indices of the real embeddings, then of the upper-half-plane one of

@@ -146,6 +146,9 @@ GOLDEN_STDOUT_SHA256 = {
     # a quartic with complex roots, at a residue-degree-2 prime
     "verify-floor table1/row5 --prime 19 --prime-index 2 --floor representative --samples 20 --seed 1 --json":
         "4b8f7285fe77dbe4c0f507bb3e8ec3cea5554d7c603fcb72acd80e626bf87682",
+    # seven fields, three of them with complex roots
+    "table1 --json":
+        "d9052cf0ea2b19740e7e19476db442f2c70de5b59cdc37a8d03353e0e2f17874",
 }
 
 
@@ -225,7 +228,7 @@ print(*[m for m in heavy if m in sys.modules])
 for argv in (["field-info", "qsqrt14"], ["constants", "qsqrt14", "--json"],
              ["expand", "qq", "--prime", "5", "--alpha", "7/3", "--json"],
              ["divchain", "qq", "--a", "7", "--b", "3", "--S", "5", "--json"],
-             ["evaluate", "qq", "--quotients=-1;-11/5;2/5", "--json"]):
+             ["evaluate", "qq", "--quotients=-1;-11/5;2/5", "--json"], ["table1", "--json"]):
     run(argv)
 print(*[m for m in heavy if m in sys.modules])
 run(["divchain", "qsqrt14", "--a=20,-14", "--b=-3,-5", "--S", "5"], 3)
@@ -240,27 +243,40 @@ print(hashlib.sha256(out.getvalue().encode()).hexdigest())
 
 def test_cold_start_imports_no_sympy_or_numpy():
     """With sympy blocked, a fresh `import padiccf.cli` loads neither numpy nor
-    mpmath, and these commands (over Q and the totally real Q(sqrt14)) load
-    no numpy.  Without sympy, a division-chain search over Q(sqrt14) that
-    exhausts its caps after many S-integrality questions exits 3 and loads no
-    numpy either (its principal generators reduce their lattice in Python), an
-    expansion at a prime above psi_13 runs, and an expansion at a large prime
-    of Q(sqrt14) prints its golden report."""
+    mpmath, and these commands (over Q, the totally real Q(sqrt14) and the
+    table1 fields, some with complex roots) load neither.  Without sympy, a
+    division-chain search over Q(sqrt14) that exhausts its caps after many
+    S-integrality questions exits 3 and loads no numpy either (its principal
+    generators reduce their lattice in Python), an expansion at a prime above
+    psi_13 runs, and an expansion at a large prime of Q(sqrt14) prints its
+    golden report."""
     proc = subprocess.run([sys.executable, "-c", COLD_START, *Q14_LARGE], capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     after_import, after_commands, after_divchain, digest = proc.stdout.splitlines()
     assert after_import == ""
-    assert "numpy" not in after_commands.split()
+    assert after_commands == ""
     assert "numpy" not in after_divchain.split()
     assert digest == GOLDEN_STDOUT_SHA256[" ".join(Q14_LARGE)]
 
 
 def test_input_error_exit_code():
     proc = run_cli(["constants", "no_such_field.json"])
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and "not found" in proc.stderr
     proc2 = run_cli(["expand", "qq", "--prime", "5", "--alpha", "oops"])
     assert proc2.returncode == 2
+
+
+def test_bundled_field_load_error_is_not_not_found(monkeypatch, capsys):
+    """A bundled file that exists but fails to load reports the load's own
+    error, not "not found"."""
+    def failing(name):
+        raise FieldSpecError("unit validation failed: boom")
+
+    monkeypatch.setattr("padiccf.cli.load_bundled", failing)
+    assert main(["field-info", "qsqrt14"]) == 2
+    err = capsys.readouterr().err
+    assert "unit validation failed: boom" in err and "not found" not in err
 
 
 def test_representative_expand_on_q(capsys):

@@ -1,7 +1,12 @@
+import cmath
+import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import reduce
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -9,8 +14,17 @@ from hypothesis import strategies as st
 
 from padiccf.errors import DiscMismatch, DivideByZero, NotIrreducible
 from padiccf.exactnf import NumberField, denominator_ideal_norm, new_field, weil_height_pow_d
-from padiccf.fieldspec import load_bundled
-from padiccf.rootfinding import is_irreducible, poly_disc, poly_mul
+from padiccf import exactnf, rootfinding
+from padiccf.fieldspec import bundled_path, load_bundled
+from padiccf.rootfinding import (
+    _float_roots,
+    certified_roots,
+    is_irreducible,
+    isolate_real_roots,
+    poly_disc,
+    poly_mul,
+    refine_real_root,
+)
 
 F = Fraction
 
@@ -63,7 +77,7 @@ def _sympy_irreducible(coeffs):
     (_times([-1, 1, 1, -1, 1], [3, 0, -7, 1, 1]), False),  # quartic times quartic
 ])
 def test_is_irreducible_examples(coeffs, irreducible):
-    assert is_irreducible(coeffs) is irreducible is _sympy_irreducible(coeffs)
+    assert is_irreducible(coeffs, certified_roots(coeffs, 128)) is irreducible is _sympy_irreducible(coeffs)
 
 
 monic = st.integers(1, 4).flatmap(
@@ -76,7 +90,124 @@ monic = st.integers(1, 4).flatmap(
 def test_is_irreducible_matches_sympy(factors):
     coeffs = _times(*factors)
     assume(poly_disc([F(c) for c in coeffs]) != 0)
-    assert is_irreducible(coeffs) == _sympy_irreducible(coeffs)
+    assert is_irreducible(coeffs, certified_roots(coeffs, 128)) == _sympy_irreducible(coeffs)
+
+
+# -- certified roots ---------------------------------------------------------------
+
+
+def _oracle_roots(coeffs):
+    """mpmath.polyroots at 100 digits beyond the largest coefficient's, as
+    (Fraction re, Fraction im, tolerance) triples."""
+    with mpmath.workdps(100 + max(len(str(abs(c))) for c in coeffs)):
+        zs = mpmath.polyroots(list(reversed(coeffs)), maxsteps=500, extraprec=500)
+        return [(F(str(z.real)), F(str(z.imag)), F(1, 10 ** 90) * max(1, abs(int(abs(z))))) for z in zs]
+
+
+def _check_roots(coeffs, prec):
+    """Real boxes are refine_real_root's cells, ascending; then each upper
+    box of width <= 2^-prec holds an oracle root, is followed by its conjugate,
+    and the upper boxes ascend by (re.lo, im.lo)."""
+    roots = certified_roots(coeffs, prec)
+    f = [F(c) for c in coeffs]
+    real = isolate_real_roots(f)
+    r1 = len(real)
+    assert len(roots) == len(coeffs) - 1
+    for box, (a, b) in zip(roots, real):
+        cell = refine_real_root(f, a, b, prec + 8)
+        assert (box.re.lo, box.re.hi, box.im.lo, box.im.hi) == (cell.lo, cell.hi, 0, 0)
+    assert all(x.re.hi <= y.re.lo for x, y in zip(roots[:r1], roots[1:r1]))
+    upper, lower = roots[r1::2], roots[r1 + 1::2]
+    oracle = _oracle_roots(coeffs)
+    for up, low in zip(upper, lower):
+        assert up.im.lo > 0 and (low.re.lo, low.re.hi, low.im.lo, low.im.hi) == (
+            up.re.lo, up.re.hi, -up.im.hi, -up.im.lo)
+        assert up.re.width() <= F(1, 1 << prec) and up.im.width() <= F(1, 1 << prec)
+        assert any(up.re.lo - tol <= re <= up.re.hi + tol and up.im.lo - tol <= im <= up.im.hi + tol
+                   for re, im, tol in oracle)
+    keys = [(b.re.lo, b.im.lo) for b in upper]
+    assert keys == sorted(keys)
+    return roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(monic, min_size=1, max_size=3).filter(lambda fs: 2 <= sum(len(f) - 1 for f in fs) <= 8))
+def test_certified_roots_match_mpmath(factors):
+    coeffs = _times(*factors)
+    assume(poly_disc([F(c) for c in coeffs]) != 0)
+    assume(len(isolate_real_roots([F(c) for c in coeffs])) < len(coeffs) - 1)  # a complex pair
+    for prec in (16, 128, 256):
+        _check_roots(coeffs, prec)
+
+
+@pytest.mark.parametrize("name", ["qz3.json", "table1/row5.json", "table1/row6.json", "table1/row7.json"])
+@pytest.mark.parametrize("prec", [16, 128, 256])
+def test_bundled_field_roots_match_mpmath(name, prec):
+    _check_roots(json.loads(bundled_path(name).read_text())["min_poly"], prec)
+
+
+@pytest.mark.parametrize("coeffs", [[10 ** 100 + 1, 3, 0, 1], [10 ** 200 + 1, 3, 0, 1], [10 ** 400, 0, 1]])
+def test_certified_roots_huge_coefficients(coeffs):
+    """The float phase scales f by Fujiwara's bound, so roots near 10^33,
+    10^67 and 10^200 certify like roots of order 1."""
+    roots = _check_roots(coeffs, 128)
+    assert sum(b.im.lo > 0 for b in roots) == 1
+
+
+def test_certified_roots_close_pair():
+    """x^8 + (10^6 x - 1)^2 has a conjugate pair 2*10^-30 apart near 10^-6,
+    where the iteration gains only about a bit a step before it converges
+    quadratically."""
+    _check_roots([1, -2 * 10 ** 6, 10 ** 12, 0, 0, 0, 0, 0, 1], 128)
+
+
+def test_certified_roots_far_apart_moduli():
+    """(x + 10^30)(x^7 + x + 1): seven roots near 1 and one near -10^30, which
+    the Newton polygon of f starts each at its own modulus."""
+    roots = _check_roots(_times([10 ** 30, 1], [1, 1, 0, 0, 0, 0, 0, 1]), 128)
+    assert sum(b.im.lo > 0 for b in roots) == 3
+
+
+@pytest.mark.parametrize("coeffs", [[10 ** 400, 0, 1], [1, 10 ** 1000, 0, 1], [1, 0, 0, 0, 0, 0, 0, 10 ** 300, 1],
+                                    [10 ** 5000, 1, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0, 1]])
+def test_float_phase_stays_finite(coeffs):
+    ys, k = _float_roots(coeffs, len(coeffs) - 1)
+    assert len(ys) == len(coeffs) - 1 and all(cmath.isfinite(y) for y in ys)
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """The arguments of every certified_roots call from exactnf or rootfinding."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return certified_roots(*args)
+
+    monkeypatch.setattr(exactnf, "certified_roots", counting)
+    monkeypatch.setattr(rootfinding, "certified_roots", counting)
+    return calls
+
+
+def test_embeddings_computed_once_across_threads(root_calls):
+    field = new_field([1, 1, 0, 1])
+    threads = [threading.Thread(target=field.embeddings, args=(256,)) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [prec for _, prec in root_calls] == [128, 256] and len(field.embeddings(256)) == 3
+
+
+def test_field_load_computes_roots_once(root_calls):
+    field = load_bundled("table1/row5.json").field
+    assert len(root_calls) == 1 and field.signature == (2, 1)
 
 
 def test_integral_basis_field():
