@@ -37,6 +37,14 @@ def _parse_coords(vec) -> list[Fraction]:
     return [Fraction(str(x)) for x in vec]
 
 
+def _parsed(key: str, parse, value):
+    """parse(value); a malformed value is an input error that names its key."""
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FieldSpecError(f"invalid {key}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_field_data(data: dict, source: str = "") -> LoadedField:
     try:
         min_poly = [int(c) for c in data["min_poly"]]
@@ -44,7 +52,9 @@ def load_field_data(data: dict, source: str = "") -> LoadedField:
         raise FieldSpecError(f"invalid or missing min_poly: {exc}") from exc
     integral_basis = data.get("integral_basis")
     if integral_basis is not None:
-        integral_basis = [_parse_coords(row) for row in integral_basis]
+        integral_basis = _parsed(
+            "integral_basis", lambda rows: [_parse_coords(r) for r in rows], integral_basis
+        )
     try:
         field = NumberField(
             min_poly,
@@ -65,7 +75,11 @@ def load_field_data(data: dict, source: str = "") -> LoadedField:
             )
         units = ()
     else:
-        units = tuple(field.element(_parse_coords(vec)) for vec in raw_units)
+        units = _parsed(
+            "fundamental_units",
+            lambda vecs: tuple(field.element(_parse_coords(v)) for v in vecs),
+            raw_units,
+        )
     unit_system = UnitSystem(units=units)
     try:
         log_lattice(field, unit_system)  # validates |N|=1 + independence
@@ -73,8 +87,12 @@ def load_field_data(data: dict, source: str = "") -> LoadedField:
         raise FieldSpecError(f"unit validation failed: {exc}") from exc
     bedocchi = data.get("bedocchi")
     if bedocchi is not None:
-        bedocchi = {"M": int(bedocchi["M"]), "epsilon": Fraction(str(bedocchi["epsilon"]))}
-    class_number = int(data.get("class_number", 1))
+        bedocchi = _parsed(
+            "bedocchi",
+            lambda b: {"M": int(b["M"]), "epsilon": Fraction(str(b["epsilon"]))},
+            bedocchi,
+        )
+    class_number = _parsed("class_number", int, data.get("class_number", 1))
     if class_number < 1:
         raise FieldSpecError("class_number must be positive")
     return LoadedField(

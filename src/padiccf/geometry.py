@@ -20,6 +20,8 @@ from .exactnf import NFElement, NumberField
 from .intervals import DEFAULT_PREC, RealInterval, exp_interval, log_interval
 
 CERT_SLACK = Fraction(1, 1 << 40)
+LADDER_START = 32  # first precision of unit_reduce's ladder
+ROUNDING_MARGIN = Fraction(1, 1 << 64)  # clearance from n_k +- 1/2 below DEFAULT_PREC
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,17 @@ def log_embedding(u: NFElement, prec: int = DEFAULT_PREC) -> list[RealInterval]:
     for attempt in range(6):
         try:
             out = []
+            # below DEFAULT_PREC, |sigma(u)| from the cached roots, rounded outward
+            at = max(working, DEFAULT_PREC)
             for i in field.minkowski_places():
-                e = u.embed(i, working)
+                e = u.embed(i, at)
                 # 2 log|tau| = log|tau|^2 at a complex place
-                mag = e.abs_interval(working) if i < r1 else e.abs_sq()
-                out.append(log_interval(mag, working))
+                mag = e.abs_interval(at) if i < r1 else e.abs_sq()
+                out.append(log_interval(mag.rounded(working) if working < at else mag, working))
             return out
         except ValueError:
-            working *= 2
+            # a magnitude touching zero at DEFAULT_PREC needs finer roots
+            working = 2 * max(working, DEFAULT_PREC)
     raise CertificationFailed("could not separate |sigma(u)| from zero")
 
 
@@ -134,8 +139,13 @@ def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
     (1/2) sum |ell(u_k)|_inf, the covering-radius bound.  That vector is the
     balanced log of a * prod u_k^(-n_k), so it is certified from b and the
     lattice with no further logarithm; when the enclosures are too wide to
-    certify it, the precision doubles.  The first round uses the field's
-    cached log lattice; escalation rounds recompute it.
+    certify it, the precision doubles, from LADDER_START bits; rungs up to
+    DEFAULT_PREC use the field's cached log lattice, later ones recompute it.
+    Below DEFAULT_PREC every enclosure of c_k must also stay ROUNDING_MARGIN
+    = 2^-64 clear of n_k +- 1/2.  The true c_k is then that far inside n_k's
+    rounding cell, so the midpoint of any enclosure narrower than 2^-63, the
+    DEFAULT_PREC one included, rounds to n_k too: a low rung cannot change n.
+    Exact ties (4+sqrt14, c_k a half-integer) are decided at DEFAULT_PREC.
     """
     if a.is_zero():
         raise ZeroElement("unit_reduce of zero")
@@ -143,9 +153,9 @@ def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
     if not units.units:
         return a
 
-    working = DEFAULT_PREC
+    working = LADDER_START
     while working <= 8 * DEFAULT_PREC:
-        if working == DEFAULT_PREC:
+        if working <= DEFAULT_PREC:
             lattice = log_lattice(field, units)
             basis, rho = lattice.basis, lattice.covering_radius_upper
         else:
@@ -155,6 +165,12 @@ def unit_reduce(a: NFElement, units: UnitSystem) -> NFElement:
         coeffs = _solve_lattice_coeffs(basis, b)
         if coeffs is not None:
             n = [int((c.midpoint() + Fraction(1, 2)).__floor__()) for c in coeffs]
+            if working < DEFAULT_PREC and any(
+                max(nk - c.lo, c.hi - nk) > Fraction(1, 2) - ROUNDING_MARGIN
+                for nk, c in zip(n, coeffs)
+            ):
+                working *= 2
+                continue
             w = list(b)
             for nk, vec in zip(n, basis):
                 if nk:

@@ -5,8 +5,9 @@ certification, constant thresholds, Lemma-style unit bounds) is carried as a
 ``RealInterval`` with ``fractions.Fraction`` endpoints.  Ring operations are
 exact; only the transcendental constructors (pi, log, exp, roots) round, and
 they always round *outward*, so a true value contained in the inputs is
-contained in the output.  Precision is a bit count: transcendental results are
-tightened to roughly 2^-prec relative width.
+contained in the output.  Precision is a bit count: log, exp and pi are
+tightened to roughly 2^-prec relative width, while n-th roots round to the
+grid of multiples of 2^-prec, an absolute width.
 
 The hot kernels run on Python ints: relative rounding (``_round_rel``) and
 the Horner evaluation ``eval_poly_interval`` carry integer numerators over a
@@ -200,14 +201,18 @@ def _int_nth_root_floor(n: int, k: int) -> int:
 
 
 def sqrt_interval(x: "RealInterval | Rat", prec: int = DEFAULT_PREC) -> RealInterval:
+    """Certified square root, rounded outward to multiples of 2^-prec (an
+    absolute width, as for nth_root_interval)."""
     return nth_root_interval(x, 2, prec)
 
 
 def nth_root_interval(x: "RealInterval | Rat", n: int, prec: int = DEFAULT_PREC) -> RealInterval:
     """Certified n-th root of a nonnegative interval.
 
-    Exact endpoints that are perfect n-th powers of rationals stay exact, so
-    e.g. sqrt(25/4) is the point 5/2.
+    Inexact endpoints round outward to multiples of 2^-prec: the width is
+    about 2^-prec absolute, not relative, so the root of a value below
+    2^-(n*prec) has lower endpoint 0.  Exact endpoints that are perfect n-th
+    powers of rationals stay exact, so e.g. sqrt(25/4) is the point 5/2.
     """
     xi = x if isinstance(x, RealInterval) else RealInterval.exact(x)
     if xi.lo < 0:

@@ -46,6 +46,24 @@ def test_field_file_validation_errors():
         load_field_data({"min_poly": [1, -2, -1, 1]})  # rank 2 without units
 
 
+@pytest.mark.parametrize("key, block", [
+    ("bedocchi", {"M": 3}),
+    ("bedocchi", [3]),
+    ("fundamental_units", 5),
+])
+def test_malformed_optional_block_is_an_input_error(tmp_path, capsys, key, block):
+    """A malformed optional block is a FieldSpecError that names its key, and
+    the CLI reports it with exit 2, not a traceback with exit 1."""
+    data = json.loads(bundled_path("qq.json").read_text())
+    data[key] = block
+    with pytest.raises(FieldSpecError, match=f"invalid {key}"):
+        load_field_data(data)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["constants", str(p)]) == 2
+    assert f"input error: invalid {key}" in capsys.readouterr().err
+
+
 def test_bad_unit_data_fails_loudly(tmp_path):
     bad = {"min_poly": [-14, 0, 1], "fundamental_units": [["2", "1"]]}  # norm -10
     p = tmp_path / "bad.json"

@@ -147,12 +147,13 @@ def _ring_search(a, units):
     raise AssertionError(f"no reduced element near {a}")
 
 
-def test_unit_reduce_equals_ring_search():
-    """The one rounding picks the element that the ring search accepts first,
-    also where the log coefficient of 4+sqrt14 sits on a half-integer."""
+def _reduction_battery():
+    """(a, units, is_tie): seeded elements of five fields, and 4+sqrt14 times
+    powers of the fundamental unit, whose log coefficient is a half-integer."""
     rng = random.Random(29)
     cases = []
-    for name in ("qsqrt14.json", "qz3.json", "table1/row5.json"):
+    for name in ("qsqrt14.json", "qz3.json", "table1/row5.json",
+                 "table1/row1.json", "table1/row6.json", "table1/row7.json"):
         lf = load_bundled(name)
         d = lf.field.degree
         for _ in range(18):
@@ -160,13 +161,43 @@ def test_unit_reduce_equals_ring_search():
             if not a.is_zero():
                 for u in lf.units.units:
                     a = a * u ** rng.randint(-2, 2)
-                cases.append((a, lf.units))
+                cases.append((a, lf.units, False))
         if name == "qsqrt14.json":
-            cases += [(lf.field.element([4, 1]) * lf.units.units[0] ** k, lf.units)
+            cases += [(lf.field.element([4, 1]) * lf.units.units[0] ** k, lf.units, True)
                       for k in range(-3, 4)]
-    assert len(cases) >= 55
-    for a, units in cases:
+    return cases
+
+
+def test_unit_reduce_equals_ring_search():
+    """The one rounding picks the element that the ring search accepts first,
+    also where the log coefficient of 4+sqrt14 sits on a half-integer."""
+    cases = _reduction_battery()
+    assert len(cases) >= 109
+    for a, units, _ in cases:
         assert G.unit_reduce(a, units) == _ring_search(a, units), a
+
+
+def test_unit_reduce_decides_below_default_prec(monkeypatch):
+    """The ladder reaches DEFAULT_PREC only for the exact ties: every other
+    element of the battery is reduced from enclosures coarser than 128 bits.
+    The DEFAULT_PREC coefficient enclosures are narrower than twice the
+    rounding margin, which is what lets a low rung fix n."""
+    precs = []
+    original = G._balanced_log
+
+    def counting(a, prec):
+        precs.append(prec)
+        return original(a, prec)
+
+    monkeypatch.setattr(G, "_balanced_log", counting)
+    for a, units, is_tie in _reduction_battery():
+        precs.clear()
+        G.unit_reduce(a, units)
+        assert precs[0] == G.LADDER_START
+        assert (DEFAULT_PREC in precs) == is_tie, a
+        basis = G.log_lattice(a.field, units).basis
+        coeffs = G._solve_lattice_coeffs(basis, original(a, DEFAULT_PREC))
+        assert all(c.width() < 2 * G.ROUNDING_MARGIN for c in coeffs), a
 
 
 def test_unit_reduce_embeds_no_unit(monkeypatch):
