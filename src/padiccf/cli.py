@@ -222,8 +222,7 @@ def cmd_table1(args) -> int:
         dev = None
         if ref:
             dev = float(rep.c_MK.hi / ref - 1)
-        raw = json.loads(path.read_text())
-        m_ref = raw.get("m_reference")
+        m_ref = lf.m_reference
         m_ok = m_ref is None or rep.M == m_ref
         if not m_ok:
             all_m_ok = False
@@ -277,7 +276,7 @@ def _select_prime(lf: LoadedField, args):
                 return idx, q, gen
         raise FieldSpecError("no prime above p contains the supplied generator")
     idx = args.prime_index
-    if idx >= len(ps):
+    if not 0 <= idx < len(ps):
         raise FieldSpecError(f"prime index {idx} out of range ({len(ps)} primes above {args.prime})")
     return idx, ps[idx], None
 
@@ -360,6 +359,8 @@ def cmd_expand(args) -> int:
 
 def _sample_elements(field: NumberField, count: int, rng: random.Random,
                      num_bound: int = 100, den_bound: int = 60) -> list[NFElement]:
+    if count < 1:
+        raise FieldSpecError(f"--samples must be positive, got {count}")
     out = []
     for _ in range(count):
         coords = [
@@ -433,6 +434,8 @@ def cmd_divchain(args) -> int:
     a = parse_coords(lf.field, args.a)
     b = parse_coords(lf.field, args.b)
     ps = primes_above(lf.field, args.S)
+    if not 0 <= args.s_index < len(ps):
+        raise FieldSpecError(f"S index {args.s_index} out of range ({len(ps)} primes above {args.S})")
     prime = ps[args.s_index]
     ring = SIntegerRing(field=lf.field, S=(prime,))
     caps = divchain.CLWCaps(

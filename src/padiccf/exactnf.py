@@ -15,18 +15,29 @@ from math import lcm
 
 from .errors import DiscMismatch, DivideByZero, NotIrreducible
 from .intervals import DEFAULT_PREC, ComplexInterval, RealInterval, eval_poly_interval
-from .rootfinding import (
-    certified_roots,
-    is_irreducible,
-    mat_det,
-    poly_disc,
-    poly_trim,
-    poly_xgcd,
-)
+from .rootfinding import certified_roots, is_irreducible
 
 
-def _as_fraction_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in matrix)
+def mat_det(rows) -> Fraction:
+    """Exact determinant of a square matrix of rationals, by Gaussian elimination."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
 
 
 def _mat_inverse(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
@@ -58,14 +69,14 @@ class NumberField:
             raise NotIrreducible(f"degree {d} outside supported range 1..8")
         if coeffs[-1] != 1:
             raise NotIrreducible("minimal polynomial must be monic")
-        disc_poly = poly_disc([Fraction(c) for c in coeffs])
-        assert disc_poly.denominator == 1
-        if disc_poly == 0 or not is_irreducible(coeffs, roots := certified_roots(coeffs, DEFAULT_PREC)):
-            raise NotIrreducible(f"min_poly {coeffs} (constant term first) is reducible over Q")
-
         self.min_poly: tuple[int, ...] = tuple(coeffs)
         self.degree = d
-        self._min_poly_disc = int(disc_poly)
+        # disc(f) = (-1)^(d(d-1)/2) N(f'(alpha)) for monic f; the norm is the
+        # resultant Res(f, f'), so it is 0 exactly when f is not squarefree
+        deriv = NFElement(self, tuple(Fraction(i * c) for i, c in enumerate(coeffs) if i))
+        self._min_poly_disc = (-1) ** (d * (d - 1) // 2) * int(deriv.norm())
+        if self._min_poly_disc == 0 or not is_irreducible(coeffs, roots := certified_roots(coeffs, DEFAULT_PREC)):
+            raise NotIrreducible(f"min_poly {coeffs} (constant term first) is reducible over Q")
 
         identity = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
         if integral_basis is None:
@@ -78,7 +89,7 @@ class NumberField:
                 )
             self.field_disc = self._min_poly_disc
         else:
-            self.integral_basis = _as_fraction_rows(integral_basis)
+            self.integral_basis = tuple(tuple(Fraction(x) for x in row) for row in integral_basis)
             if len(self.integral_basis) != d or any(len(r) != d for r in self.integral_basis):
                 raise DiscMismatch("integral_basis must be a d x d matrix")
             self._basis_inv = _mat_inverse(self.integral_basis)
@@ -242,16 +253,10 @@ class NFElement:
     def inverse(self) -> "NFElement":
         if self.is_zero():
             raise DivideByZero("inverse of zero")
-        d = self.field.degree
-        if d == 1:
+        if self.field.degree == 1:
             return NFElement(self.field, (1 / self.coords[0],))
-        f = [Fraction(c) for c in self.field.min_poly]
-        g = poly_trim(list(self.coords))
-        gcd_poly, s, _ = poly_xgcd(g, f)
-        if len(gcd_poly) != 1 or gcd_poly[0] == 0:
-            raise DivideByZero("element not invertible (reducible modulus?)")
-        inv_coeffs = [c / gcd_poly[0] for c in s]
-        return self.field.element(inv_coeffs)
+        # x^-1 * x = 1: the coordinates of x^-1 solve v M_x = (1, 0, ..., 0)
+        return NFElement(self.field, _mat_inverse(self._mult_matrix())[0])
 
     def __truediv__(self, other) -> "NFElement":
         if isinstance(other, (int, Fraction)):

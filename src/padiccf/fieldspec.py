@@ -31,6 +31,7 @@ class LoadedField:
     class_number: int
     bedocchi: dict | None = None
     c_mk_reference: int | None = None
+    m_reference: int | None = None
 
 
 def _parse_coords(vec) -> list[Fraction]:
@@ -95,6 +96,9 @@ def load_field_data(data: dict, source: str = "") -> LoadedField:
     class_number = _parsed("class_number", int, data.get("class_number", 1))
     if class_number < 1:
         raise FieldSpecError("class_number must be positive")
+    m_reference = data.get("m_reference")
+    if m_reference is not None:
+        m_reference = _parsed("m_reference", int, m_reference)
     return LoadedField(
         label=str(data.get("label", source or "field")),
         field=field,
@@ -102,6 +106,7 @@ def load_field_data(data: dict, source: str = "") -> LoadedField:
         class_number=class_number,
         bedocchi=bedocchi,
         c_mk_reference=data.get("c_mk_reference"),
+        m_reference=m_reference,
     )
 
 

@@ -1,4 +1,4 @@
-"""Exact polynomial utilities and certified complex root isolation.
+"""Certified root isolation only; exact arithmetic in the field is in `exactnf`.
 
 Real roots are isolated with Sturm sequences and refined by rational
 bisection, so real-root counts (hence field signatures) are exact.  Complex
@@ -47,16 +47,6 @@ def poly_deriv(p: Poly) -> Poly:
     return [Fraction(i) * c for i, c in enumerate(p)][1:]
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     a = poly_trim(list(a))
     b = poly_trim(list(b))
@@ -72,74 +62,6 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         for i in range(db + 1):
             r[dr - db + i] -= coef * b[i]
     return poly_trim(q), poly_trim(r)
-
-
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g (g monic unless 0)."""
-    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while any(c != 0 for c in r1):
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_trim([x - y for x, y in
-                                zip(s0 + [Fraction(0)] * len(poly_mul(q, s1)), poly_mul(q, s1) + [Fraction(0)] * len(s0))])
-        t0, t1 = t1, poly_trim([x - y for x, y in
-                                zip(t0 + [Fraction(0)] * len(poly_mul(q, t1)), poly_mul(q, t1) + [Fraction(0)] * len(t0))])
-    lead = r0[poly_degree(r0)]
-    if lead != 0 and lead != 1:
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return poly_trim(r0), poly_trim(s0), poly_trim(t0)
-
-
-def mat_det(rows) -> Fraction:
-    """Exact determinant of a square matrix of rationals, by Gaussian elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    m, n = poly_degree(a), poly_degree(b)
-    size = m + n
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(reversed(a)):
-            mat[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(reversed(b)):
-            mat[n + i][i + j] = c
-    return mat_det(mat)
-
-
-def poly_disc(p: Poly) -> Fraction:
-    """Discriminant of p (with respect to its leading coefficient)."""
-    d = poly_degree(p)
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return Fraction(1)
-    res = sylvester_resultant(p, poly_deriv(p))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / p[d]
 
 
 # ---------------------------------------------------------------------------

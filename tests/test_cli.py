@@ -50,6 +50,7 @@ def test_field_file_validation_errors():
     ("bedocchi", {"M": 3}),
     ("bedocchi", [3]),
     ("fundamental_units", 5),
+    ("m_reference", "eleven"),
 ])
 def test_malformed_optional_block_is_an_input_error(tmp_path, capsys, key, block):
     """A malformed optional block is a FieldSpecError that names its key, and
@@ -283,6 +284,24 @@ def test_input_error_exit_code():
     assert proc.returncode == 2 and "not found" in proc.stderr
     proc2 = run_cli(["expand", "qq", "--prime", "5", "--alpha", "oops"])
     assert proc2.returncode == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "qq", "--prime", "5", "--prime-index", "-1", "--alpha", "7/3", "--json"],
+     "prime index -1 out of range (1 primes above 5)"),
+    (["divchain", "qq", "--a", "7", "--b", "3", "--S", "5", "--s-index", "5", "--json"],
+     "S index 5 out of range (1 primes above 5)"),
+    (["divchain", "qq", "--a", "7", "--b", "3", "--S", "5", "--s-index", "-1", "--json"],
+     "S index -1 out of range (1 primes above 5)"),
+    (["verify-floor", "qq", "--prime", "5", "--samples", "-3", "--json"], "--samples must be positive, got -3"),
+    (["verify-type", "qq", "--prime", "5", "--samples", "0", "--json"], "--samples must be positive, got 0"),
+], ids=["prime-index", "s-index-too-large", "s-index-negative", "verify-floor-samples", "verify-type-samples"])
+def test_out_of_range_option_is_an_input_error(argv, message, capsys):
+    """An index outside the primes above p, or a sample count below one, exits
+    2 with the reason, and prints no report."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"input error: {message}" in captured.err
 
 
 def test_bundled_field_load_error_is_not_not_found(monkeypatch, capsys):

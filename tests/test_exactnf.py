@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from functools import reduce
 
 import mpmath
 import pytest
@@ -15,23 +14,20 @@ from hypothesis import strategies as st
 from padiccf.errors import DiscMismatch, DivideByZero, NotIrreducible
 from padiccf.exactnf import NumberField, denominator_ideal_norm, new_field, weil_height_pow_d
 from padiccf import exactnf, rootfinding
-from padiccf.fieldspec import bundled_path, load_bundled
+from padiccf.fieldspec import bundled_path, bundled_table1_names, load_bundled
 from padiccf.rootfinding import (
     _float_roots,
     certified_roots,
     is_irreducible,
     isolate_real_roots,
-    poly_disc,
-    poly_mul,
     refine_real_root,
 )
 
 F = Fraction
 
-coords14 = st.lists(
-    st.fractions(min_value=F(-50), max_value=F(50), max_denominator=20),
-    min_size=2, max_size=2,
-)
+small_fractions = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=20)
+coords14 = st.lists(small_fractions, min_size=2, max_size=2)
+coords4 = st.lists(small_fractions, min_size=4, max_size=4)
 
 
 def elements14(field):
@@ -63,11 +59,29 @@ def test_new_field_errors():
 
 def _times(*factors):
     """Product of integer polynomials, constant term first."""
-    return [int(c) for c in reduce(poly_mul, [[F(c) for c in f] for f in factors])]
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
 
 
 def _sympy_irreducible(coeffs):
-    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).is_irreducible
+    return _sympy_poly(coeffs).is_irreducible
+
+
+@pytest.mark.parametrize("name", ["qq.json", "qsqrt14.json", "qz3.json", *bundled_table1_names()])
+def test_bundled_min_poly_discriminant_matches_sympy(name):
+    """disc(f) = (-1)^(d(d-1)/2) N(f'(alpha)) agrees with sympy's discriminant."""
+    min_poly = json.loads(bundled_path(name).read_text())["min_poly"]
+    assert new_field(min_poly).field_disc == _sympy_poly(min_poly).discriminant()
 
 
 @pytest.mark.parametrize("coeffs, irreducible", [
@@ -89,7 +103,7 @@ monic = st.integers(1, 4).flatmap(
 @given(st.lists(monic, min_size=1, max_size=3).filter(lambda fs: 2 <= sum(len(f) - 1 for f in fs) <= 8))
 def test_is_irreducible_matches_sympy(factors):
     coeffs = _times(*factors)
-    assume(poly_disc([F(c) for c in coeffs]) != 0)
+    assume(_sympy_poly(coeffs).discriminant() != 0)
     assert is_irreducible(coeffs, certified_roots(coeffs, 128)) == _sympy_irreducible(coeffs)
 
 
@@ -134,7 +148,7 @@ def _check_roots(coeffs, prec):
 @given(st.lists(monic, min_size=1, max_size=3).filter(lambda fs: 2 <= sum(len(f) - 1 for f in fs) <= 8))
 def test_certified_roots_match_mpmath(factors):
     coeffs = _times(*factors)
-    assume(poly_disc([F(c) for c in coeffs]) != 0)
+    assume(_sympy_poly(coeffs).discriminant() != 0)
     assume(len(isolate_real_roots([F(c) for c in coeffs])) < len(coeffs) - 1)  # a complex pair
     for prec in (16, 128, 256):
         _check_roots(coeffs, prec)
@@ -245,16 +259,21 @@ def test_arith_examples(k14):
         k14.zero().inverse()
 
 
+# table1 rows 1 and 5: a cubic and a quartic with a complex pair
+CUBIC, QUARTIC = new_field([1, -2, -1, 1]), new_field([-1, 2, 0, -1, 1])
+
+
 @settings(max_examples=100, deadline=None)
-@given(coords14, coords14, coords14)
-def test_field_axioms(c1, c2, c3):
+@given(coords14, coords14, coords14, coords4)
+def test_field_axioms(c1, c2, c3, c4):
     k = new_field([-14, 0, 1])
     x, y, z = k.element(c1), k.element(c2), k.element(c3)
     assert (x + y) * z == x * z + y * z
     assert (x * y) * z == x * (y * z)
     assert x + y == y + x and x * y == y * x
-    if not x.is_zero():
-        assert x * x.inverse() == k.one()
+    for w in (x, CUBIC.element(c4[:3]), QUARTIC.element(c4)):
+        if not w.is_zero():
+            assert w * w.inverse() == w.field.one()
 
 
 def test_norm_trace_examples(k14):
