@@ -20,7 +20,7 @@ from .errors import (
     SearchExhausted,
     ZeroDenominator,
 )
-from .exactnf import NFElement, NumberField, _mat_inverse, denominator_ideal_norm, weil_height_pow_d
+from .exactnf import NFElement, NumberField, denominator_ideal_norm, solve, weil_height_pow_d
 from .ideals import (
     PrimeIdealData,
     SIntegerRing,
@@ -142,24 +142,24 @@ class RepresentativeFloor:
             col = max(sum(abs(row[k]) for row in N) for k in range(d))
             self._center_k = resid + col * (dv + d * u / (1 - d * u) * (g + dv))
             basis = self._basis  # Tr(b_i b_k) is symmetric, so the rows of its inverse give b^v
-            dual = _mat_inverse(tuple(tuple((a * b).trace() for b in basis) for a in basis))
+            det, adj = solve([[int((a * b).trace()) for b in basis] for a in basis],
+                             [[int(i == k) for k in range(d)] for i in range(d)])
             self._reach = [math.ceil(self.epsilon.hi * 2 ** 32 * sum(
                 sqrt_interval(y.embed(i).abs_sq()).hi for i in range(d)))
-                for y in (sum((b * t for b, t in zip(basis, row)), field.zero()) for row in dual)]
+                for y in (sum((b * t for b, t in zip(basis, row)), field.zero()) / det for row in adj)]
 
     def _float_vector(self, x: NFElement) -> "np.ndarray":
         import numpy as np
 
         return np.array(x.float_minkowski(), dtype=float)
 
-    def _center(self, x: NFElement, coords) -> list[int]:
-        """round(c), c = to_integral_coords(x), when every c_k = n/q is farther
-        from Z + 1/2, |2(n mod q) - q| / 2q, than the float centre can be from c
+    def _center(self, x: NFElement, nums: tuple[int, ...], q: int) -> list[int]:
+        """round(c), c = nums / q = to_integral_coords(x), when every c_k is farther
+        from Z + 1/2, |2(n_k mod q) - q| / 2q, than the float centre can be from c
         (K * sum|c_k| + 2^-1000, see _babai_data); else the float centre itself."""
-        bound = self._center_k * sum(abs(c) for c in coords) + Fraction(1, 2 ** 1000)
-        if all(abs(2 * (c.numerator % c.denominator) - c.denominator) > 2 * c.denominator * bound
-               for c in coords):
-            return [round(c) for c in coords]
+        bound = self._center_k * Fraction(sum(map(abs, nums)), q) + Fraction(1, 2 ** 1000)
+        if all(abs(2 * (n % q) - q) > 2 * q * bound for n in nums):
+            return [(2 * n + q) // (2 * q) for n in nums]
         # numpy < 2 rounds to floats
         return [int(round(c)) for c in self._float_vector(x) @ self._mat_inv]
 
@@ -178,17 +178,16 @@ class RepresentativeFloor:
             if j % self.prime.p == 0:
                 continue  # j in P would break the coset condition
             jxi = xi * j
-            # u = j*xi - tau has integral-basis coordinates (nums_k - tau_k * dens_k) / dens_k,
+            # u = j*xi - tau has integral-basis coordinates (nums_k - tau_k * q) / q,
             # and an accepted tau lies in the window |tau_k - c_k| <= R_k (_babai_data)
-            coords = field.to_integral_coords(jxi)
-            nums, dens = [c.numerator for c in coords], [c.denominator for c in coords]
+            nums, q = field.integral_nums(jxi)
             windows = [range(-((r * q - (n << 32)) // (q << 32)),
                              ((n << 32) + r * q) // (q << 32) + 1)
-                       for n, q, r in zip(nums, dens, self._reach)]
+                       for n, r in zip(nums, self._reach)]
             survivors = []
             for tau in itertools.product(*windows):
-                x = [n - t * q for n, t, q in zip(nums, tau, dens)]
-                verdict, margin = self._float_verdict(x, dens, eps_lo, eps_hi)
+                x = [n - t * q for n, t in zip(nums, tau)]
+                verdict, margin = self._float_verdict(x, q, eps_lo, eps_hi)
                 if verdict is False:
                     margins.append(margin)
                 else:
@@ -198,12 +197,12 @@ class RepresentativeFloor:
             reached = True
             # the first accepted by ring 0, 1, 2 around the centre, lexicographic
             # within a ring (README); floats decide, or else _certify
-            center = self._center(jxi, coords)
+            center = self._center(jxi, nums, q)
             offsets = ((tuple(t - m for t, m in zip(tau, center)), x, v) for tau, x, v in survivors)
             for ring, _, x, verdict in sorted((max(map(abs, o)), o, x, v) for o, x, v in offsets):
                 if ring > 2:
                     break
-                u = field.from_integral_coords([Fraction(n, q) for n, q in zip(x, dens)])
+                u = field.from_integral_coords(x, q)
                 if verdict is None:
                     verdict, margin = self._certify(u, eps_sq, prec)
                 if verdict:
@@ -217,10 +216,10 @@ class RepresentativeFloor:
             + "); the prime may be too small for this M"
         )
 
-    def _float_verdict(self, nums: list[int], dens: list[int], eps_lo: float,
+    def _float_verdict(self, nums: list[int], q: int, eps_lo: float,
                        eps_hi: float) -> tuple[bool | None, float | None]:
         """Certified float comparison of every |sigma(u)|^2 with epsilon^2, for
-        u with integral-basis coordinates nums_k / dens_k: (False, a lower
+        u with integral-basis coordinates nums_k / q: (False, a lower
         bound of the excess) when some |sigma(u)|^2 exceeds eps_hi, (True, None)
         when every one is below eps_lo, else (None, None).  The float sum S of
         x_k * sigma(b_k) is within sum|x_k| * radius + (d+2) 2^-53
@@ -230,7 +229,7 @@ class RepresentativeFloor:
         the underflow of the upper bound.  Non-finite values compare false and
         decide nothing."""
         try:
-            xf = [n / q for n, q in zip(nums, dens)]  # correctly rounded
+            xf = [n / q for n in nums]  # correctly rounded
         except OverflowError:
             return None, None
         size = sum(abs(a) for a in xf)

@@ -201,8 +201,9 @@ def cmd_constants(args) -> int:
 def cmd_table1(args) -> int:
     names = bundled_table1_names()
     if args.fields_dir:
-        base = Path(args.fields_dir)
-        paths = sorted(base.glob("*.json"))
+        paths = sorted(Path(args.fields_dir).glob("*.json"))
+        if not paths:
+            raise FieldSpecError(f"no field files (*.json) in {args.fields_dir}")
     else:
         paths = [bundled_path(n) for n in names]
     rows = []
@@ -433,6 +434,8 @@ def cmd_divchain(args) -> int:
     lf = _resolve_field(args.field)
     a = parse_coords(lf.field, args.a)
     b = parse_coords(lf.field, args.b)
+    if b.is_zero():
+        raise FieldSpecError("--b must be nonzero")
     ps = primes_above(lf.field, args.S)
     if not 0 <= args.s_index < len(ps):
         raise FieldSpecError(f"S index {args.s_index} out of range ({len(ps)} primes above {args.S})")
@@ -575,10 +578,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numeric_options(args) -> None:
+    """Reject an --epsilon outside (0, 1) and an --M below 1, or below 2 for
+    the representative floor, before any computation."""
+    eps = getattr(args, "epsilon", None)
+    if eps is not None and not 0 < Fraction(eps) < 1:
+        raise FieldSpecError(f"--epsilon must lie strictly between 0 and 1, got {eps}")
+    least = 2 if getattr(args, "floor", None) == "representative" else 1
+    M = getattr(args, "M", None)
+    if M is not None and M < least:
+        raise FieldSpecError(f"--M must be at least {least}, got {M}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numeric_options(args)
         return args.func(args)
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)

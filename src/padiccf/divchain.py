@@ -9,7 +9,6 @@ principal prime p' = b + k r_1 with r_1 congruent to an S-unit mod p'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .cfengine import continuants, evaluate_cf  # continuants: re-exported
@@ -115,10 +114,8 @@ class CLWCaps:
 
 def _babai_round(x: NFElement) -> NFElement:
     """Nearest O_K element to x: each integral-basis coordinate rounded, halves up."""
-    field = x.field
-    return field.from_integral_coords(
-        [(c + Fraction(1, 2)).__floor__() for c in field.to_integral_coords(x)]
-    )
+    nums, q = x.field.integral_nums(x)
+    return x.field.from_integral_coords([(2 * n + q) // (2 * q) for n in nums])
 
 
 def _prime_ideal_of(x: NFElement) -> PrimeIdealData | None:

@@ -1,60 +1,56 @@
 """Exact arithmetic in a number field K = Q(alpha).
 
-Elements carry exact rational coordinates in the power basis 1, alpha, ...,
-alpha^(d-1).  Complex embeddings are certified interval enclosures of the
-roots of the minimal polynomial (real roots first, ascending; then each
-conjugate pair with the positive-imaginary root first), cached per precision.
-An explicit integral basis may be supplied for non-monogenic fields; ideals
-and residue machinery then work in integral-basis coordinates internally.
+An element is integer numerators in the power basis 1, alpha, ...,
+alpha^(d-1) over one positive denominator, in lowest terms.  Norm, inverse and
+the inverse of an integral basis are one fraction-free elimination, ``solve``.
+Complex embeddings are certified interval enclosures of the roots of the
+minimal polynomial (real roots first, ascending; then each conjugate pair with
+the positive-imaginary root first), cached per precision.  An explicit
+integral basis may be supplied for non-monogenic fields; ideals and residue
+machinery then work in integral-basis coordinates internally.
 """
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DiscMismatch, DivideByZero, NotIrreducible
 from .intervals import DEFAULT_PREC, ComplexInterval, RealInterval, eval_poly_interval
 from .rootfinding import certified_roots, is_irreducible
 
 
-def mat_det(rows) -> Fraction:
-    """Exact determinant of a square matrix of rationals, by Gaussian elimination."""
+def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det A, Y) with A Y = det(A) B and Y integral, for a square integer
+    matrix A (rows) and an integer matrix B (rhs, one row per row of A), by
+    fraction-free elimination (Bareiss 1968); (0, None) when A is singular.
+    Y = adj(A) B, so with B = I it is the adjugate, and with no columns the
+    call gives the determinant alone."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
+    m = [list(r) + list(b) for r, b in zip(rows, rhs)]
+    width, sign, prev = len(m[0]) if m else 0, 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0, None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def _mat_inverse(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            sign = -sign
+        top, p = m[col], m[col][col]
+        for row in m[col + 1:]:
+            f = row[col]
+            for j in range(col + 1, width):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = p
+    # the last pivot is det(PA) for the row permutation P; back substitution
+    # on the triangular system gives Y = det(PA) A^-1 B, integral
+    y: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        y[i] = [(prev * row[n + k] - sum(row[j] * y[j][k] for j in range(i + 1, n))) // row[i]
+                for k in range(width - n)]
+    return sign * prev, [[sign * v for v in r] for r in y]
 
 
 class NumberField:
@@ -73,42 +69,34 @@ class NumberField:
         self.degree = d
         # disc(f) = (-1)^(d(d-1)/2) N(f'(alpha)) for monic f; the norm is the
         # resultant Res(f, f'), so it is 0 exactly when f is not squarefree
-        deriv = NFElement(self, tuple(Fraction(i * c) for i, c in enumerate(coeffs) if i))
+        deriv = NFElement(self, [i * c for i, c in enumerate(coeffs) if i])
         self._min_poly_disc = (-1) ** (d * (d - 1) // 2) * int(deriv.norm())
         if self._min_poly_disc == 0 or not is_irreducible(coeffs, roots := certified_roots(coeffs, DEFAULT_PREC)):
             raise NotIrreducible(f"min_poly {coeffs} (constant term first) is reducible over Q")
 
-        identity = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
-        if integral_basis is None:
-            self.integral_basis = identity
-            self._basis_inv = self.integral_basis
-            self.index = 1
-            if field_disc is not None and field_disc != self._min_poly_disc:
-                raise DiscMismatch(
-                    f"disc(min_poly) = {self._min_poly_disc} != stated field_disc {field_disc}"
-                )
-            self.field_disc = self._min_poly_disc
-        else:
-            self.integral_basis = tuple(tuple(Fraction(x) for x in row) for row in integral_basis)
-            if len(self.integral_basis) != d or any(len(r) != d for r in self.integral_basis):
-                raise DiscMismatch("integral_basis must be a d x d matrix")
-            self._basis_inv = _mat_inverse(self.integral_basis)
-            det = mat_det(self.integral_basis)
-            if det == 0:
-                raise DiscMismatch("integral_basis is singular")
-            index_fr = 1 / abs(det)
-            if index_fr.denominator != 1:
-                raise DiscMismatch("integral_basis determinant must be 1/index")
-            self.index = int(index_fr)
-            expected = self._min_poly_disc // (self.index ** 2)
-            if expected * self.index ** 2 != self._min_poly_disc:
-                raise DiscMismatch("disc(min_poly) != field_disc * index^2")
-            if field_disc is not None and field_disc != expected:
-                raise DiscMismatch(
-                    f"disc(min_poly)/index^2 = {expected} != stated field_disc {field_disc}"
-                )
-            self.field_disc = expected
-        self._power_integral_basis = self.integral_basis == identity
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        basis = eye if integral_basis is None else integral_basis
+        self.integral_basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
+        if len(self.integral_basis) != d or any(len(r) != d for r in self.integral_basis):
+            raise DiscMismatch("integral_basis must be a d x d matrix")
+        # the basis is B/q for an integer matrix B, so its inverse is q adj(B) / det(B)
+        q = lcm(*(x.denominator for row in self.integral_basis for x in row))
+        B = [[int(x * q) for x in row] for row in self.integral_basis]
+        det, adj = solve(B, eye)
+        if det == 0:
+            raise DiscMismatch("integral_basis is singular")
+        self._basis_over_z, self._basis_inv = (B, q), ([[q * a for a in row] for row in adj], det)
+        self._power_integral_basis = q == 1 and B == eye
+        self.index, rem = divmod(q ** d, abs(det))  # 1/|det(B/q)|
+        if rem:
+            raise DiscMismatch("integral_basis determinant must be 1/index")
+        self.field_disc, rem = divmod(self._min_poly_disc, self.index ** 2)
+        if rem:
+            raise DiscMismatch("disc(min_poly) != field_disc * index^2")
+        if field_disc is not None and field_disc != self.field_disc:
+            raise DiscMismatch(
+                f"disc(min_poly)/index^2 = {self.field_disc} != stated field_disc {field_disc}"
+            )
 
         r1 = sum(r.im.lo == r.im.hi == 0 for r in roots)
         self.signature = (r1, (d - r1) // 2)
@@ -120,25 +108,29 @@ class NumberField:
     # -- basic constructors ---------------------------------------------------
 
     def element(self, coords) -> "NFElement":
+        """The element with power-basis coordinates coords (ints or Fractions;
+        missing trailing coordinates are 0)."""
         cl = [Fraction(c) for c in coords]
         if len(cl) > self.degree:
             raise ValueError("too many coordinates")
-        cl += [Fraction(0)] * (self.degree - len(cl))
-        return NFElement(self, tuple(cl))
+        den = lcm(*(c.denominator for c in cl))
+        nums = [c.numerator * (den // c.denominator) for c in cl]
+        return NFElement(self, nums + [0] * (self.degree - len(cl)), den)
 
     def zero(self) -> "NFElement":
-        return self.element([])
+        return NFElement(self, (0,) * self.degree)
 
     def one(self) -> "NFElement":
-        return self.element([1])
+        return self.from_rational(1)
 
     def generator(self) -> "NFElement":
         if self.degree == 1:
-            return self.element([Fraction(-self.min_poly[0], 1)])
+            return self.from_rational(-self.min_poly[0])
         return self.element([0, 1])
 
     def from_rational(self, q) -> "NFElement":
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return NFElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     # -- embeddings -----------------------------------------------------------
 
@@ -157,24 +149,31 @@ class NumberField:
 
     # -- coordinate conversions ------------------------------------------------
 
+    def integral_nums(self, x: "NFElement") -> tuple[tuple[int, ...], int]:
+        """Coordinates of x over the integral basis, as integer numerators
+        over one positive denominator in lowest terms."""
+        if self._power_integral_basis:
+            return x.nums, x.den
+        inv, q = self._basis_inv
+        return _lowest([sum(n * row[i] for n, row in zip(x.nums, inv)) for i in range(self.degree)],
+                       x.den * q)
+
     def to_integral_coords(self, x: "NFElement") -> tuple[Fraction, ...]:
         """Coordinates of x over the integral basis."""
         if self._power_integral_basis:
             return x.coords
-        inv = self._basis_inv
-        return tuple(
-            sum(x.coords[j] * inv[j][i] for j in range(self.degree))
-            for i in range(self.degree)
-        )
+        nums, den = self.integral_nums(x)
+        return tuple(Fraction(n, den) for n in nums)
 
-    def from_integral_coords(self, coords) -> "NFElement":
-        cl = [Fraction(c) for c in coords]
-        rows = self.integral_basis
-        power = [
-            sum(cl[i] * rows[i][j] for i in range(self.degree))
-            for j in range(self.degree)
-        ]
-        return NFElement(self, tuple(power))
+    def from_integral_coords(self, coords, den: int = 1) -> "NFElement":
+        """The element sum_i coords_i b_i / den over the integral basis b_i;
+        the coordinates may be ints or Fractions."""
+        x = self.element(coords)
+        if not self._power_integral_basis:
+            rows, q = self._basis_over_z
+            x = NFElement(self, [sum(n * row[j] for n, row in zip(x.nums, rows))
+                                 for j in range(self.degree)], x.den * q)
+        return x if den == 1 else NFElement(self, x.nums, x.den * den)
 
     def __repr__(self) -> str:
         return f"NumberField({list(self.min_poly)}, disc={self.field_disc}, sig={self.signature})"
@@ -191,46 +190,65 @@ def new_field(min_poly, integral_basis=None, field_disc=None) -> NumberField:
     return NumberField(min_poly, integral_basis=integral_basis, field_disc=field_disc)
 
 
-def _over_lcm(coords: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    den = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
+def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """nums/den with den > 0 and gcd(den, *nums) = 1."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(n // g for n in nums), den // g
 
 
 class NFElement:
-    """Element of a NumberField with exact rational power-basis coordinates."""
+    """Element of a NumberField: integer power-basis numerators over one
+    positive denominator, in lowest terms (Cohen, GTM 138, sec. 4.2)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den", "_coords")
 
-    def __init__(self, field: NumberField, coords: tuple[Fraction, ...]):
+    def __init__(self, field: NumberField, nums, den: int = 1):
         self.field = field
-        self.coords = coords
+        self.nums, self.den = _lowest(nums, den)
+        self._coords = None
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions, built on first use."""
+        if self._coords is None:
+            self._coords = tuple(Fraction(n, self.den) for n in self.nums)
+        return self._coords
 
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other: "NFElement") -> "NFElement":
         other = self._coerce(other)
-        return NFElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        if a == b:
+            return NFElement(self.field, [x + y for x, y in zip(self.nums, other.nums)], a)
+        return NFElement(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __sub__(self, other: "NFElement") -> "NFElement":
         other = self._coerce(other)
-        return NFElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        if a == b:
+            return NFElement(self.field, [x - y for x, y in zip(self.nums, other.nums)], a)
+        return NFElement(self.field, [x * b - y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __neg__(self) -> "NFElement":
-        return NFElement(self.field, tuple(-a for a in self.coords))
+        return NFElement(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other) -> "NFElement":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return NFElement(self.field, tuple(a * q for a in self.coords))
+            return NFElement(self.field, [a * q.numerator for a in self.nums], self.den * q.denominator)
         other = self._coerce(other)
-        # integer numerators over one denominator each; reduce alpha^k, k >= d,
-        # from the top with the monic min_poly
-        (a, da), (b, db) = _over_lcm(self.coords), _over_lcm(other.coords)
+        # convolve the numerators, then reduce alpha^k, k >= d, from the top
+        # with the monic min_poly
         d = self.field.degree
         prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
+        for i, x in enumerate(self.nums):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(other.nums):
                     prod[i + j] += x * y
         mp = self.field.min_poly
         for k in range(2 * d - 2, d - 1, -1):
@@ -238,8 +256,7 @@ class NFElement:
             if c:
                 for j in range(d):
                     prod[k - d + j] -= c * mp[j]
-        den = da * db
-        return NFElement(self.field, tuple(Fraction(x, den) for x in prod[:d]))
+        return NFElement(self.field, prod[:d], self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -254,16 +271,17 @@ class NFElement:
         if self.is_zero():
             raise DivideByZero("inverse of zero")
         if self.field.degree == 1:
-            return NFElement(self.field, (1 / self.coords[0],))
-        # x^-1 * x = 1: the coordinates of x^-1 solve v M_x = (1, 0, ..., 0)
-        return NFElement(self.field, _mat_inverse(self._mult_matrix())[0])
+            return NFElement(self.field, (self.den,), self.nums[0])
+        # y = den*x has integer coordinates, and y^-1 = w/det solves w M_y = det e_0
+        det, w = solve(list(zip(*self._mult_matrix())), [[1]] + [[0]] * (self.field.degree - 1))
+        return NFElement(self.field, [self.den * r[0] for r in w], det)
 
     def __truediv__(self, other) -> "NFElement":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if q == 0:
                 raise DivideByZero("division by zero")
-            return NFElement(self.field, tuple(a / q for a in self.coords))
+            return NFElement(self.field, [a * q.denominator for a in self.nums], self.den * q.numerator)
         other = self._coerce(other)
         return self * other.inverse()
 
@@ -280,48 +298,48 @@ class NFElement:
         return result
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
-        return isinstance(other, NFElement) and self.coords == other.coords \
+        return isinstance(other, NFElement) and self.den == other.den and self.nums == other.nums \
             and self.field == other.field
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     # -- invariants -------------------------------------------------------------
 
-    def _mult_matrix(self) -> list[list[Fraction]]:
-        """Rows: coordinates of x * alpha^i."""
-        d = self.field.degree
-        rows = []
-        current = self
-        alpha = self.field.generator()
-        for _ in range(d):
-            rows.append(list(current.coords))
-            current = current * alpha
+    def _mult_matrix(self) -> list[list[int]]:
+        """Rows: the integer coordinates of den*x*alpha^i, i < d."""
+        mp = self.field.min_poly
+        row = list(self.nums)
+        rows = [row]
+        for _ in range(self.field.degree - 1):
+            top = row[-1]
+            row = [-top * mp[0]] + [a - top * c for a, c in zip(row, mp[1:-1])]
+            rows.append(row)
         return rows
 
     def norm(self) -> Fraction:
+        d = self.field.degree
         if self.is_rational():
-            return self.coords[0] ** self.field.degree
-        return mat_det(self._mult_matrix())
+            return Fraction(self.nums[0] ** d, self.den ** d)
+        return Fraction(solve(self._mult_matrix(), [[]] * d)[0], self.den ** d)
 
     def trace(self) -> Fraction:
         if self.is_rational():
-            return self.coords[0] * self.field.degree
+            return Fraction(self.nums[0] * self.field.degree, self.den)
         rows = self._mult_matrix()
-        return sum(rows[i][i] for i in range(self.field.degree))
+        return Fraction(sum(rows[i][i] for i in range(self.field.degree)), self.den)
 
     def denominator(self) -> int:
         """Smallest b > 0 with b*x integral (i.e. in O_K)."""
-        ic = self.field.to_integral_coords(self)
-        return lcm(*(c.denominator for c in ic)) if ic else 1
+        return self.field.integral_nums(self)[1]
 
     def is_integral(self) -> bool:
         return self.denominator() == 1
@@ -338,8 +356,8 @@ class NFElement:
             raise ValueError("precision must be at least 32 bits")
         root = self.field.embeddings(prec)[sigma_index]
         if self.is_rational():
-            return ComplexInterval.exact(self.coords[0])
-        return eval_poly_interval(list(self.coords), root, prec)
+            return ComplexInterval.exact(Fraction(self.nums[0], self.den))
+        return eval_poly_interval(self.nums, self.den, root, prec)
 
     def float_minkowski(self) -> list[float]:
         """Floats of the Minkowski vector of x: the midpoint of sigma(x) for each
@@ -374,8 +392,7 @@ def weil_height_pow_d(x: NFElement) -> RealInterval:
         return RealInterval.exact(1)
     field = x.field
     if field.degree == 1:
-        q = x.coords[0]
-        return RealInterval.exact(max(abs(q.numerator), q.denominator))
+        return RealInterval.exact(max(abs(x.nums[0]), x.den))
     den_norm = denominator_ideal_norm(x)
     arch = RealInterval.exact(1)
     for i in range(field.degree):
@@ -400,7 +417,7 @@ def denominator_ideal_norm(x: NFElement) -> int:
     # (y) + (b) is spanned by y w_i (mod b) and b e_i over the integral basis w_i
     field = x.field
     d = field.degree
-    rows = [[int(c) % b for c in field.to_integral_coords(y * NFElement(field, w))]
+    rows = [[n % b for n in field.integral_nums(y * field.element(w))[0]]
             for w in field.integral_basis]
     rows += [[b * (i == j) for j in range(d)] for i in range(d)]
     h = hnf_rows(rows, d)

@@ -156,19 +156,6 @@ def hnf_rows(rows: list[list[int]], d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in pivots)
 
 
-def _solve_coeffs(h: tuple[tuple[int, ...], ...], target: list[Fraction]) -> list[Fraction]:
-    """Solve c * H = target for the coefficient vector c (H lower triangular)."""
-    d = len(h)
-    c = [Fraction(0)] * d
-    r = list(target)
-    for i in range(d - 1, -1, -1):
-        c[i] = r[i] / h[i][i]
-        if c[i] != 0:
-            for j in range(i + 1):
-                r[j] -= c[i] * h[i][j]
-    return c
-
-
 class FractionalIdeal:
     """hnf/denom lattice over the integral basis of a NumberField."""
 
@@ -190,17 +177,6 @@ class FractionalIdeal:
         self.hnf = mat
         self.denom = denom
 
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def from_rows(field: NumberField, rows: list[list[Fraction]]) -> "FractionalIdeal":
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, Fraction(x).denominator)
-        int_rows = [[int(Fraction(x) * den) for x in row] for row in rows]
-        return FractionalIdeal(field, hnf_rows(int_rows, field.degree), den)
-
     # -- basic data -----------------------------------------------------------
 
     def norm(self) -> Fraction:
@@ -211,19 +187,26 @@ class FractionalIdeal:
 
     def basis_elements(self) -> list[NFElement]:
         return [
-            self.field.from_integral_coords([Fraction(x, self.denom) for x in row])
-            for row in self.hnf
+            self.field.from_integral_coords(row, self.denom) for row in self.hnf
         ]
 
     def is_integral(self) -> bool:
         return self.denom == 1
 
     def contains(self, x: NFElement) -> bool:
-        coords = [c * self.denom for c in self.field.to_integral_coords(x)]
-        if any(c.denominator != 1 for c in coords):
+        """denom * x has integral coordinates r = c H, c integral, for the
+        lower triangular H = hnf."""
+        nums, den = self.field.integral_nums(x)
+        if self.denom % den:
             return False
-        c = _solve_coeffs(self.hnf, coords)
-        return all(ci.denominator == 1 for ci in c)
+        r = [n * (self.denom // den) for n in nums]
+        for i in range(len(r) - 1, -1, -1):
+            c, rem = divmod(r[i], self.hnf[i][i])
+            if rem:
+                return False
+            for j in range(i):
+                r[j] -= c * self.hnf[i][j]
+        return True
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -234,9 +217,9 @@ class FractionalIdeal:
         rows = []
         for a in mine:
             for b in theirs:
-                coords = self.field.to_integral_coords(a * b)
-                assert all(c.denominator == 1 for c in coords)
-                rows.append([int(c) for c in coords])
+                nums, den = self.field.integral_nums(a * b)
+                assert den == 1
+                rows.append(list(nums))
         return FractionalIdeal(self.field, hnf_rows(rows, d), self.denom * other.denom)
 
     __mul__ = mul
@@ -272,8 +255,10 @@ def principal_ideal(x: NFElement) -> FractionalIdeal:
     if x.is_zero():
         raise ValueError("zero ideal not supported")
     field = x.field
-    rows = [list(field.to_integral_coords(x * b)) for b in whole_ring(field).basis_elements()]
-    return FractionalIdeal.from_rows(field, rows)
+    rows = [field.integral_nums(x * b) for b in whole_ring(field).basis_elements()]
+    den = lcm(*(q for _, q in rows))
+    int_rows = [[n * (den // q) for n in nums] for nums, q in rows]
+    return FractionalIdeal(field, hnf_rows(int_rows, field.degree), den)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +470,9 @@ def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
             alpha_pow = alpha_pow * field.generator()
         rows = [[p * int(i == j) for j in range(d)] for i in range(d)]
         for b in basis:
-            coords = field.to_integral_coords(gen2 * b)
-            assert all(c.denominator == 1 for c in coords)
-            rows.append([int(c) for c in coords])
+            nums, den = field.integral_nums(gen2 * b)
+            assert den == 1
+            rows.append(list(nums))
         ideal = FractionalIdeal(field, hnf_rows(rows, d), 1)
         out.append(
             PrimeIdealData(field=field, p=p, gen2=gen2, e=mult, f=deg,
@@ -548,27 +533,25 @@ def _zp_root(P: PrimeIdealData, n: int) -> tuple[int, int] | None:
     return r, N
 
 
-def _zp_image(x: NFElement, q: int, r: int, mod: int) -> int:
-    """The image of q*x in Z/mod under alpha -> r (_zp_root), for q a common
-    denominator of x's power-basis coordinates."""
+def _zp_image(x: NFElement, r: int, mod: int) -> int:
+    """The image of x.den * x in Z/mod under alpha -> r (_zp_root)."""
     t = 0
-    for c in reversed(x.coords):
-        t = (t * r + c.numerator * (q // c.denominator)) % mod
+    for n in reversed(x.nums):
+        t = (t * r + n) % mod
     return t
 
 
 def valuation(x: NFElement, P: PrimeIdealData) -> int:
     """Exact v_P(x), extended to K by v(y/b) = v(y) - v(b).  Where _zp_root
     applies, v_P(x) = v_p(t) - v_p(q) for the image t != 0 of q*x in Z/p^N,
-    q the common denominator of x's coordinates and N doubled as needed."""
+    q = x.den, and N doubled as needed."""
     if x.is_zero():
         raise ZeroValuation("v_P(0) = +infinity")
-    q = lcm(*(c.denominator for c in x.coords))
     n = 2
     while (root := _zp_root(P, n)) is not None:
-        t = _zp_image(x, q, root[0], P.p ** root[1])
+        t = _zp_image(x, root[0], P.p ** root[1])
         if t:
-            return _v_p(t, P.p) - _v_p(q, P.p)
+            return _v_p(t, P.p) - _v_p(x.den, P.p)
         n = 2 * root[1]
     return _valuation_hnf(x, P)
 
@@ -718,11 +701,13 @@ def canonical_residue(x: NFElement, ideal: FractionalIdeal) -> NFElement:
             raise NotIntegralAtI(f"denominator {b} shares a factor with N(ideal) = {m}")
         binv = pow(b, -1, m)
         y = y * binv
-    coords = [Fraction(c) for c in field.to_integral_coords(y)]
+    nums, den = field.integral_nums(y)
+    assert den == 1
+    coords = list(nums)
     h = ideal.hnf
     d = field.degree
     for i in range(d - 1, -1, -1):
-        q = (coords[i] / h[i][i] + Fraction(1, 2)).__floor__()
+        q = (2 * coords[i] + h[i][i]) // (2 * h[i][i])  # floor(c_i / h_ii + 1/2)
         if q:
             for j in range(i + 1):
                 coords[j] -= q * h[i][j]
@@ -769,9 +754,8 @@ def invert_mod_prime_power(b: NFElement, P: PrimeIdealData, k: int) -> NFElement
     to p as p does not divide the index, so b^-1 = den * (den*b)^(N(P)-2) mod P.
     Hensel's iteration then doubles the precision."""
     p = P.p
-    den = lcm(*(c.denominator for c in b.coords))
-    inv = _fp_powmod([int(c * den) % p for c in b.coords], P.norm - 2, P.factor_poly, p)
-    x = P.field.element([c * den for c in inv])
+    inv = _fp_powmod([n % p for n in b.nums], P.norm - 2, P.factor_poly, p)
+    x = P.field.element([c * b.den for c in inv])
     reached = 1
     one = P.field.one()
     while reached < k:
@@ -813,13 +797,12 @@ def _residue_zp(mu: NFElement, P: PrimeIdealData, n: int) -> NFElement | None:
     holds r*b_0 for r in [-p^n/2, p^n/2), and r is the image of mu in Z/p^n,
     (image of q*mu mod p^(n+m)) / p^m / q' for q = p^m q' the common
     denominator of mu's coordinates."""
-    q = lcm(*(c.denominator for c in mu.coords))
-    m = _v_p(q, P.p)
+    q, m = mu.den, _v_p(mu.den, P.p)
     root = _zp_root(P, n + m)
     if root is None:
         return None
     h, pm = P.p ** n, P.p ** m
-    r = _zp_image(mu, q, root[0], h * pm) // pm * pow(q // pm, -1, h) % h
+    r = _zp_image(mu, root[0], h * pm) // pm * pow(q // pm, -1, h) % h
     return mu.field.from_rational(r - h if 2 * r >= h else r)
 
 
@@ -913,7 +896,7 @@ def principal_generator(P: PrimeIdealData, units=None) -> NFElement:
                     from . import geometry
 
                     g = geometry.unit_reduce(g, units)
-                for c in g.coords:
+                for c in g.nums:
                     if c != 0:
                         if c < 0:
                             g = -g

@@ -438,22 +438,22 @@ def _mul_ends(al: int, ah: int, bl: int, bh: int) -> tuple[int, int]:
     return min(p), max(p)
 
 
-def eval_poly_interval(coeffs: list[Fraction], z: ComplexInterval, prec: int) -> ComplexInterval:
-    """Horner evaluation of an exact-rational polynomial on a rectangle, each
-    step rounded outward to prec + 16 bits as ``ComplexInterval.rounded`` does.
+def eval_poly_interval(nums, q: int, z: ComplexInterval, prec: int) -> ComplexInterval:
+    """Horner evaluation of the polynomial with coefficients nums / q (q > 0)
+    on a rectangle, each step rounded outward to prec + 16 bits as
+    ``ComplexInterval.rounded`` does.
 
     Runs on integers: z's endpoints over one denominator dz, the coefficients
     over q, the accumulator over 2^s, so a step's exact value lies over
     2^s dz q.  At a real point (z.im exactly 0) the imaginary part stays 0."""
     bits = prec + 16
-    q = lcm(*(c.denominator for c in coeffs))
     zs = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
     dz = lcm(*(e.denominator for e in zs))
     xl, xh, yl, yh = (e.numerator * (dz // e.denominator) for e in zs)
     rl = rh = il = ih = s = 0
-    for c in reversed(coeffs):
+    for c in reversed(nums):
         den = dz * q << s
-        cn = c.numerator * (q // c.denominator) * dz << s
+        cn = c * dz << s
         lo, hi = _mul_ends(rl, rh, xl, xh)
         if yl or yh:
             a, b = _mul_ends(il, ih, yl, yh)

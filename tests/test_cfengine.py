@@ -464,13 +464,13 @@ def test_float_filter_never_rejects_certified_candidates(place_floors, which, de
     floor = place_floors[which]
     field = floor.prime.field
     d = field.degree
-    nums, dens = nums[:d], [den] * d
+    nums = nums[:d]
     assume(any(nums))
     u = field.from_integral_coords([F(n, den) for n in nums])
     mags = [u.embed(i).abs_sq() for i in range(d)]
 
     def verdict(eps_sq):
-        return floor._float_verdict(nums, dens, float(eps_sq.lo) * (1 - 2.0 ** -40),
+        return floor._float_verdict(nums, den, float(eps_sq.lo) * (1 - 2.0 ** -40),
                                     float(eps_sq.hi) * (1 + 2.0 ** -40))
 
     # epsilon^2 just above every certified |sigma(u)|^2: exact certification accepts u
@@ -518,7 +518,7 @@ def test_exact_centre_equals_float_centre(place_floors, which, coords):
     floats = floor._float_vector(x) @ floor._mat_inv
     bound = floor._center_k * sum(abs(c) for c in coords) + F(1, 2 ** 1000)
     assert all(abs(F(a) - c) <= bound for a, c in zip(floats, coords))
-    assert floor._center(x, list(coords)) == [int(round(a)) for a in floats]
+    assert floor._center(x, *field.integral_nums(x)) == [int(round(a)) for a in floats]
 
 
 def _window(floor, coords):
@@ -561,17 +561,16 @@ def test_centre_falls_back_on_huge_coordinates(monkeypatch):
     eps_sq = floor.epsilon.square()
     survivors = []
     for jxi in float_centres:
-        coords = field.to_integral_coords(jxi)
-        dens = [c.denominator for c in coords]
-        survivors.append([tau for tau in _window(floor, coords) if floor._float_verdict(
-            [c.numerator - t * q for c, t, q in zip(coords, tau, dens)], dens,
+        nums, q = field.integral_nums(jxi)
+        survivors.append([tau for tau in _window(floor, field.to_integral_coords(jxi)) if floor._float_verdict(
+            [n - t * q for n, t in zip(nums, tau)], q,
             float(eps_sq.lo) * (1 - 2.0 ** -40), float(eps_sq.hi) * (1 + 2.0 ** -40))[0]
             is not False])
     assert all(survivors)
     jxi, (tau,) = float_centres[0], survivors[0]
     u = jxi - field.from_integral_coords(tau)
     assert floor._certify(u, eps_sq, DEFAULT_PREC)[0]
-    centre = floor._center(jxi, field.to_integral_coords(jxi))
+    centre = floor._center(jxi, *field.integral_nums(jxi))
     assert max(abs(t - m) for t, m in zip(tau, centre)) == 15
 
 
@@ -592,7 +591,7 @@ def _ring_walk(floor, eta):
         if j % floor.prime.p == 0:
             continue
         jxi = xi * j
-        centre = floor._center(jxi, field.to_integral_coords(jxi))
+        centre = floor._center(jxi, *field.integral_nums(jxi))
         for radius in (0, 1, 2):
             for offset in itertools.product(range(-radius, radius + 1), repeat=field.degree):
                 if radius and max(map(abs, offset)) != radius:

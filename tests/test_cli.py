@@ -286,6 +286,9 @@ def test_input_error_exit_code():
     assert proc2.returncode == 2
 
 
+REP_QQ = ["expand", "qq", "--prime", "5", "--alpha", "1/3", "--floor", "representative", "--json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["expand", "qq", "--prime", "5", "--prime-index", "-1", "--alpha", "7/3", "--json"],
      "prime index -1 out of range (1 primes above 5)"),
@@ -295,10 +298,27 @@ def test_input_error_exit_code():
      "S index -1 out of range (1 primes above 5)"),
     (["verify-floor", "qq", "--prime", "5", "--samples", "-3", "--json"], "--samples must be positive, got -3"),
     (["verify-type", "qq", "--prime", "5", "--samples", "0", "--json"], "--samples must be positive, got 0"),
-], ids=["prime-index", "s-index-too-large", "s-index-negative", "verify-floor-samples", "verify-type-samples"])
+    (REP_QQ + ["--M", "2", "--epsilon", "2"], "--epsilon must lie strictly between 0 and 1, got 2"),
+    (REP_QQ + ["--M", "2", "--epsilon", "1"], "--epsilon must lie strictly between 0 and 1, got 1"),
+    (["verify-floor", "qq", "--prime", "5", "--floor", "representative", "--epsilon", "3/2", "--json"],
+     "--epsilon must lie strictly between 0 and 1, got 3/2"),
+    (REP_QQ + ["--epsilon", "0"], "--epsilon must lie strictly between 0 and 1, got 0"),
+    (REP_QQ + ["--epsilon=-1/2"], "--epsilon must lie strictly between 0 and 1, got -1/2"),
+    (["constants", "qsqrt14", "--epsilon", "2", "--json"], "--epsilon must lie strictly between 0 and 1, got 2"),
+    (["constants", "qsqrt14", "--M", "0", "--json"], "--M must be at least 1, got 0"),
+    (["constants", "qsqrt14", "--M", "-3", "--json"], "--M must be at least 1, got -3"),
+    (REP_QQ + ["--M", "0"], "--M must be at least 2, got 0"),
+    (REP_QQ + ["--M", "1"], "--M must be at least 2, got 1"),
+    (["divchain", "qq", "--a", "3", "--b", "0", "--S", "5", "--json"], "--b must be nonzero"),
+    (["table1", "/nonexistent", "--json"], "no field files (*.json) in /nonexistent"),
+    (["table1", str(Path(__file__).parent), "--json"], f"no field files (*.json) in {Path(__file__).parent}"),
+], ids=["prime-index", "s-index-too-large", "s-index-negative", "verify-floor-samples", "verify-type-samples",
+        "epsilon-2", "epsilon-1", "verify-floor-epsilon", "epsilon-0", "epsilon-negative", "constants-epsilon",
+        "constants-M-0", "constants-M-negative", "representative-M-0", "representative-M-1", "b-zero",
+        "table1-missing-dir", "table1-no-json"])
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
-    """An index outside the primes above p, or a sample count below one, exits
-    2 with the reason, and prints no report."""
+    """An option outside the values any computation can use exits 2 with the
+    reason, and prints no report."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"input error: {message}" in captured.err

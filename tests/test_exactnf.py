@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import random
 import sys
 import threading
@@ -413,6 +414,101 @@ def test_product_matches_fraction_convolution(k):
         x, y = (k.element([F(rng.randint(-10 ** 20, 10 ** 20), rng.choice([1, 3, 7 ** 5, rng.randint(1, 10 ** 9)]))
                            for _ in range(k.degree)]) for _ in range(2))
         assert (x * y).coords == _oracle_product(x, y)
+
+
+def _oracle_det(rows):
+    """Fraction Gaussian elimination."""
+    m, det = [[F(v) for v in r] for r in rows], F(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _check_lowest_terms(x):
+    assert len(x.nums) == x.field.degree and all(type(n) is int for n in x.nums)
+    assert type(x.den) is int and x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    assert x.coords == tuple(F(n, x.den) for n in x.nums)
+
+
+K5 = new_field([-5, 0, 1], integral_basis=[[1, 0], [F(1, 2), F(1, 2)]])
+
+
+@pytest.mark.parametrize("name", ["qq.json", "qsqrt14.json", "qz3.json", "table1/row5.json", "k5"])
+def test_elements_match_fraction_oracle(name):
+    """Integer numerators over one denominator against Fraction coordinate
+    tuples: ring and scalar operations, inverse, norm and trace, lowest
+    terms, and one value built two ways is one element with one hash."""
+    k = K5 if name == "k5" else load_bundled(name).field
+    d = k.degree
+    rng = random.Random(name)
+
+    def draw():
+        return [F(rng.randint(-10 ** 6, 10 ** 6), rng.choice([1, 2, 9, 49, 720, rng.randint(1, 10 ** 6)]))
+                for _ in range(d)]
+
+    powers = [k.element([0] * i + [1]) for i in range(d)]  # alpha^i
+    for _ in range(40):
+        a, b, q = draw(), draw(), F(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+        x, y = k.element(a), k.element(b)
+        assert x.coords == tuple(a)
+        assert (x + y).coords == tuple(u + v for u, v in zip(a, b))
+        assert (x - y).coords == tuple(u - v for u, v in zip(a, b))
+        assert (-x).coords == tuple(-u for u in a)
+        assert (x * y).coords == _oracle_product(x, y)
+        assert (x * q).coords == (q * x).coords == tuple(u * q for u in a)
+        assert (x / q).coords == tuple(u / q for u in a)
+        assert (x + q).coords == (a[0] + q, *a[1:]) and (x - q).coords == (a[0] - q, *a[1:])
+        rows = [_oracle_product(x, p) for p in powers]  # the multiplication matrix of x
+        assert x.norm() == _oracle_det(rows)
+        assert x.trace() == sum(rows[i][i] for i in range(d))
+        inv = x.inverse()
+        assert _oracle_product(x, inv) == (1,) + (0,) * (d - 1)
+        assert _oracle_product(x / y, y) == tuple(a)
+        y_int, den = x.content_split()
+        assert y_int.is_integral() and y_int / den == x
+        assert den == math.lcm(*(c.denominator for c in k.to_integral_coords(x)))
+        assert k.from_integral_coords(k.to_integral_coords(x)) == x
+        for r in (x, x + y, x - y, x * y, x * q, x / q, inv, x / y, y_int, k.zero(), k.one()):
+            _check_lowest_terms(r)
+        # one value, two constructions
+        z = (x + y) - y
+        assert z == x and hash(z) == hash(x)
+    assert k.zero().nums == (0,) * d and k.zero().den == 1
+    halves = k.element([F(2, 4)] + [0] * (d - 1)), k.element([F(1, 2)])
+    assert halves[0] == halves[1] == F(1, 2) and hash(halves[0]) == hash(halves[1])
+    if name == "k5":  # (1 + sqrt5)/2 over the integral basis and over the power basis
+        golden = k.from_integral_coords([0, 1])
+        assert golden == k.element([F(1, 2), F(1, 2)]) and golden.nums == (1, 1) and golden.den == 2
+        assert hash(golden) == hash(k.element([F(3, 6), F(-4, -8)]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_solve_matches_fraction_elimination(n):
+    """solve's determinant against Fraction elimination, and A Y = det(A) B,
+    on random integer matrices with zero pivots and singular ones."""
+    rng = random.Random(n)
+    for _ in range(60):
+        a = [[rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-10 ** 9, 10 ** 9)]) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.2:
+            a[-1] = [2 * v for v in a[0]]  # singular
+        b = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
+        det, y = exactnf.solve(a, b)
+        assert det == _oracle_det(a)
+        if det:
+            assert [[sum(a[i][j] * y[j][k] for j in range(n)) for k in range(2)] for i in range(n)] == \
+                [[det * v for v in row] for row in b]
+        else:
+            assert y is None
+        assert exactnf.solve(a, [[]] * n)[0] == det
 
 
 @settings(max_examples=60, deadline=None)

@@ -659,10 +659,19 @@ def test_s_integer_predicates_match_factoring(s_fields, name, under_s, all_above
         assert DC._prime_ideal_of(elt) == _prime_ideal_by_factoring(elt)
 
 
+def _solve_coeffs(h, target):
+    """The c with c * H = target, for H lower triangular."""
+    c, r = [F(0)] * len(h), list(target)
+    for i in range(len(h) - 1, -1, -1):
+        c[i] = r[i] / h[i][i]
+        for j in range(i + 1):
+            r[j] -= c[i] * h[i][j]
+    return c
+
+
 def test_hnf_rows_properties():
     """HNF is canonical, spans the same lattice, preserves the volume."""
     rng = random.Random(101)
-    from padiccf.ideals import hnf_rows, _solve_coeffs
 
     for _ in range(50):
         d = rng.randint(1, 4)
