@@ -20,7 +20,7 @@ from .errors import (
     SearchExhausted,
     ZeroDenominator,
 )
-from .exactnf import NFElement, NumberField, denominator_ideal_norm, solve, weil_height_pow_d
+from .exactnf import NFElement, NumberField, denominator_ideal_norm, embedding_product, solve, weil_height_pow_d
 from .ideals import (
     PrimeIdealData,
     SIntegerRing,
@@ -104,7 +104,7 @@ class RepresentativeFloor:
         one radius covering half-widths and float conversion; the inverse N of
         the Babai matrix B (rows _float_vector(b_k)); and K, which puts the
         float centre _float_vector(x) @ N within K * sum|c_k| of
-        c = to_integral_coords(x) up to underflow (Higham 2002, secs. 3.1,
+        x's integral-basis coordinates c up to underflow (Higham 2002, secs. 3.1,
         4.2): the largest entry of the residual B @ N - I, exact over the
         floats, plus N's largest column sum times D + gamma_d (G + D),
         where D = 3/2 (H + radius + 4u(G + H)) covers the Horner half-width H,
@@ -154,7 +154,7 @@ class RepresentativeFloor:
         return np.array(x.float_minkowski(), dtype=float)
 
     def _center(self, x: NFElement, nums: tuple[int, ...], q: int) -> list[int]:
-        """round(c), c = nums / q = to_integral_coords(x), when every c_k is farther
+        """round(c), c = nums / q = integral_nums(x), when every c_k is farther
         from Z + 1/2, |2(n_k mod q) - q| / 2q, than the float centre can be from c
         (K * sum|c_k| + 2^-1000, see _babai_data); else the float centre itself."""
         bound = self._center_k * Fraction(sum(map(abs, nums)), q) + Fraction(1, 2 ** 1000)
@@ -500,22 +500,19 @@ def continuants(quotients: list[NFElement]) -> tuple[list[NFElement], list[NFEle
 
 
 def evaluate_cf(quotients: list[NFElement]) -> NFElement:
-    """Exact value of [a_0, a_1, ..., a_k] via the continuant recurrences.
+    """Exact value of [a_0, a_1, ..., a_k] by nested evaluation.
 
-    Raises ZeroDenominator when any tail [a_j, ..., a_k] evaluates to zero
-    (an intermediate division by zero in the nested form)."""
+    Raises ZeroDenominator when any tail [a_j, ..., a_k], j >= 1, evaluates
+    to zero (an intermediate division by zero).  Otherwise the continuant
+    B_k, the product of those tails, is nonzero too."""
     if not quotients:
         raise ValueError("empty quotient list")
-    # tail scan detects intermediate zero denominators exactly
     tail = quotients[-1]
     for q in reversed(quotients[:-1]):
         if tail.is_zero():
             raise ZeroDenominator("intermediate zero denominator in nested evaluation")
         tail = q + tail.inverse()
-    a_list, b_list = continuants(quotients)
-    if b_list[-1].is_zero():
-        raise ZeroDenominator("continued fraction has zero denominator")
-    return a_list[-1] / b_list[-1]
+    return tail
 
 
 def nu_term(a: NFElement, spec: TypeSpec) -> RealInterval:
@@ -530,10 +527,7 @@ def nu_term(a: NFElement, spec: TypeSpec) -> RealInterval:
     if v >= 0:
         raise NotAdmissible(f"v_P(a) = {v} >= 0")
     finite_part = Fraction(denominator_ideal_norm(a), spec.prime.norm ** (-2 * v))
-    arch = RealInterval.exact(1)
-    for i in range(spec.field.degree):
-        arch = (arch * theta(a.embed(i).abs_sq())).rounded(DEFAULT_PREC + 16)
-    return (arch * finite_part).rounded(DEFAULT_PREC)
+    return (embedding_product(a, theta) * finite_part).rounded(DEFAULT_PREC)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from . import cfengine, constants, divchain
-from .errors import FieldSpecError, PadicCFError, SearchExhausted
+from .errors import EpsilonNotLessThanOne, FieldSpecError, PadicCFError, SearchExhausted
 from .exactnf import NFElement, NumberField
 from .fieldspec import LoadedField, bundled_path, bundled_table1_names, load_bundled, load_field_file
 from .ideals import SIntegerRing, primes_above
@@ -100,7 +100,7 @@ def _emit(report: dict, args, lines: list[str]) -> None:
             print(f"warning: {w}")
 
 
-def _base_report(command: str, args, inputs: dict) -> dict:
+def _base_report(command: str, inputs: dict) -> dict:
     return {
         "command": command,
         "version": __version__,
@@ -118,7 +118,7 @@ def _base_report(command: str, args, inputs: dict) -> dict:
 def cmd_field_info(args) -> int:
     lf = _resolve_field(args.field)
     field = lf.field
-    report = _base_report("field-info", args, {"field": lf.label})
+    report = _base_report("field-info", {"field": lf.label})
     units = [
         {"coords": coords_str(u), "norm": str(u.norm())} for u in lf.units.units
     ]
@@ -179,7 +179,6 @@ def cmd_constants(args) -> int:
     )
     report = _base_report(
         "constants",
-        args,
         {"field": lf.label, "M_override": m_override, "epsilon_override": str(eps_override) if eps_override else None},
     )
     report["outputs"] = _constants_report_json(rep)
@@ -248,7 +247,7 @@ def cmd_table1(args) -> int:
             f"{float(rep.c_MK.hi):.10g} | {ref} | "
             + (f"{dev:+.4%}" if dev is not None else "-")
         )
-    report = _base_report("table1", args, {"fields_dir": args.fields_dir})
+    report = _base_report("table1", {"fields_dir": args.fields_dir})
     report["outputs"] = {"rows": rows, "m_column_checked": all_m_ok}
     _emit(report, args, lines)
     return EXIT_OK if all_m_ok else EXIT_ASSERTION
@@ -315,7 +314,7 @@ def cmd_expand(args) -> int:
     spec, prime_index, gen = _build_type(lf, args)
     alpha = parse_coords(lf.field, args.alpha)
     inputs = _type_inputs(lf, args, spec, prime_index, gen, alpha=args.alpha, cap=args.cap)
-    report = _base_report("expand", args, inputs)
+    report = _base_report("expand", inputs)
     report["warnings"] = list(spec.warnings)
     try:
         exp = cfengine.expand(alpha, spec, cap=args.cap)
@@ -380,7 +379,6 @@ def cmd_verify_floor(args) -> int:
     rep = cfengine.verify_floor_axioms(spec, samples)
     report = _base_report(
         "verify-floor",
-        args,
         _type_inputs(lf, args, spec, prime_index, gen, samples=args.samples, seed=args.seed),
     )
     fails = rep.failures()
@@ -408,7 +406,6 @@ def cmd_verify_type(args) -> int:
     rep = cfengine.verify_type_criterion(spec, samples, cap=args.cap)
     report = _base_report(
         "verify-type",
-        args,
         _type_inputs(lf, args, spec, prime_index, gen, samples=args.samples, seed=args.seed),
     )
     statuses = [e.status[0] for e in rep.expansions]
@@ -452,7 +449,6 @@ def cmd_divchain(args) -> int:
     a_seq, b_seq = divchain.continuants(quotients)
     report = _base_report(
         "divchain",
-        args,
         {"field": lf.label, "a": args.a, "b": args.b, "S": args.S,
          "caps": {"k_range": caps.k_range, "unit_exponent_bound": caps.unit_exponent_bound,
                   "candidate_bound": caps.candidate_bound}},
@@ -485,7 +481,7 @@ def cmd_evaluate(args) -> int:
     lf = _resolve_field(args.field)
     quotients = [parse_coords(lf.field, part) for part in args.quotients.split(";") if part.strip()]
     value = cfengine.evaluate_cf(quotients)
-    report = _base_report("evaluate", args, {"field": lf.label, "quotients": args.quotients})
+    report = _base_report("evaluate", {"field": lf.label, "quotients": args.quotients})
     report["outputs"] = {"value": coords_str(value)}
     _emit(report, args, [f"value: {coords_str(value)}"])
     return EXIT_OK
@@ -579,13 +575,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numeric_options(args) -> None:
-    """Reject an --epsilon outside (0, 1) and an --M below 1, or below 2 for
-    the representative floor, before any computation."""
+    """Reject an --epsilon outside (0, 1), an --M below 1 (2 for the representative
+    floor), and --M or --epsilon with the Browkin floor, before any computation."""
     eps = getattr(args, "epsilon", None)
     if eps is not None and not 0 < Fraction(eps) < 1:
         raise FieldSpecError(f"--epsilon must lie strictly between 0 and 1, got {eps}")
-    least = 2 if getattr(args, "floor", None) == "representative" else 1
     M = getattr(args, "M", None)
+    if getattr(args, "floor", None) == "browkin":
+        for option, value in (("--M", M), ("--epsilon", eps)):
+            if value is not None:
+                raise FieldSpecError(f"{option} needs --floor representative; the browkin floor has no M or epsilon")
+    least = 2 if getattr(args, "floor", None) == "representative" else 1
     if M is not None and M < least:
         raise FieldSpecError(f"--M must be at least {least}, got {M}")
 
@@ -603,6 +603,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PadicCFError as exc:
+        # epsilon >= 1 from an --M the user gave is an input error, from an M the program chose it is not
+        if isinstance(exc, EpsilonNotLessThanOne) and getattr(args, "M", None) is not None:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import EpsilonNotLessThanOne
-from .exactnf import NFElement, NumberField, denominator_ideal_norm
+from .exactnf import NFElement, NumberField, denominator_ideal_norm, embedding_product
 from .ideals import FractionalIdeal, PrimeIdealData, valuation, whole_ring
 from .intervals import DEFAULT_PREC, RealInterval, nth_root_interval, pi_interval, sqrt_interval
 
@@ -124,10 +124,7 @@ def height_constant(diff: NFElement, P: PrimeIdealData) -> RealInterval:
     """The height constant C for diff = a0 - alpha != 0: the product of the
     per-embedding sqrt(|sigma(diff)|^2+1) and of sup(|diff|_w,1) over the finite
     places w away from P, which is the denominator norm of diff away from P."""
-    c_inf = RealInterval.exact(1)
-    for i in range(diff.field.degree):
-        mag_sq = diff.embed(i).abs_sq()
-        c_inf = (c_inf * sqrt_interval(mag_sq + 1)).rounded(DEFAULT_PREC + 16)
+    c_inf = embedding_product(diff, lambda mag_sq: sqrt_interval(mag_sq + 1))
     den_norm = denominator_ideal_norm(diff)
     v = valuation(diff, P)
     if v < 0:

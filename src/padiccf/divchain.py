@@ -14,7 +14,7 @@ from itertools import product
 from .cfengine import continuants, evaluate_cf  # continuants: re-exported
 from .errors import NotCoprime, SearchExhausted, ZeroDenominator
 from .exactnf import NFElement
-from .ideals import PrimeIdealData, SIntegerRing, is_prime, primes_above, valuation
+from .ideals import PrimeIdealData, SIntegerRing, is_prime, primes_above, principal_generator, valuation
 from .intervals import _int_nth_root_floor
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,14 @@ def _babai_round(x: NFElement) -> NFElement:
     return x.field.from_integral_coords([(2 * n + q) // (2 * q) for n in nums])
 
 
+def _zigzag(bound: int):
+    """0, 1, -1, 2, -2, ..., bound, -bound."""
+    yield 0
+    for t in range(1, bound + 1):
+        yield t
+        yield -t
+
+
 def _prime_ideal_of(x: NFElement) -> PrimeIdealData | None:
     """The prime Q with (x) = Q, if (x) is a prime ideal of O_K: then x is
     integral and |N(x)| = p^f with p prime and f <= d.  For integral x,
@@ -144,15 +152,15 @@ def clw_expand(
     b: NFElement,
     ring: SIntegerRing,
     units,
-    gamma: NFElement | None = None,
     caps: CLWCaps | None = None,
 ) -> DivisionChain:
     """Terminating division chain of length <= 5 for coprime a, b in O_S.
 
-    S must consist of a single principal finite place (p) = (gamma).  Stage 1
-    picks q_1 with v_P(r_1) = 0; stage 2 scans p' = b + k r_1 (k ascending by
-    |k|, positive first) for a principal prime, accepting when r_1 is
-    congruent to an S-unit u mod p'; the closing stages are then forced.
+    S must consist of a single principal finite place P = (gamma), with
+    gamma = principal_generator(P, units).  Stage 1 picks q_1 with
+    v_P(r_1) = 0; stage 2 scans p' = b + k r_1 (k ascending by |k|, positive
+    first) for a principal prime, accepting when r_1 is congruent to an
+    S-unit u mod p'; the closing stages are then forced.
     Semi-decidable: raises SearchExhausted at the caps.
     """
     caps = caps or CLWCaps()
@@ -162,10 +170,7 @@ def clw_expand(
     if len(ring.S) != 1:
         raise ValueError("the staged search needs S = {one principal finite place}")
     P = ring.S[0]
-    if gamma is None:
-        from .ideals import principal_generator
-
-        gamma = principal_generator(P, units)
+    gamma = principal_generator(P, units)
     if not (ring.contains(a) and ring.contains(b)):
         raise ValueError("a and b must be S-integers")
     if not ring.coprime(a, b):
@@ -177,28 +182,22 @@ def clw_expand(
         return DivisionChain(ring=ring, a=a, b=b, steps=[(q_direct, field.zero())])
 
     # stage 1: r_1 = a - q_1 b with v_P(r_1) = 0
-    m = valuation(b, P) if not b.is_zero() else 0
+    m = valuation(b, P)
     gamma_pow = gamma ** m if m > 0 else field.one()
     b2 = b / gamma_pow if m > 0 else b
     c0 = _babai_round(a / b2)
-    q1 = None
-    r1 = None
-    for t_abs in range(caps.k_range + 1):
-        for t in ((t_abs, -t_abs) if t_abs else (0,)):
-            c = c0 + field.from_rational(t)
-            cand = a - c * b2
-            if cand.is_zero():
-                return DivisionChain(
-                    ring=ring, a=a, b=b, steps=[(c / gamma_pow, field.zero())]
-                )
-            if valuation(cand, P) == 0:
-                q1, r1 = c / gamma_pow, cand
-                break
-        if q1 is not None:
+    for t in _zigzag(caps.k_range):
+        c = c0 + field.from_rational(t)
+        r1 = a - c * b2
+        if r1.is_zero():
+            return DivisionChain(
+                ring=ring, a=a, b=b, steps=[(c / gamma_pow, field.zero())]
+            )
+        if valuation(r1, P) == 0:
             break
-    if q1 is None:
+    else:
         raise SearchExhausted("stage 1: no shift made v_P(r_1) = 0")
-    steps = [(q1, r1)]
+    steps = [(c / gamma_pow, r1)]
 
     if ring.is_unit(r1):
         # r_1 is an S-unit: divide exactly and stop at length 2
@@ -207,39 +206,33 @@ def clw_expand(
 
     # stage 2: scan p' = b + k r_1
     unit_gens = list(units.units) if units is not None else []
-    for k_abs in range(caps.candidate_bound + 1):
-        for k in ((k_abs, -k_abs) if k_abs else (0,)):
-            p_prime = b + r1 * k
-            if p_prime.is_zero():
-                continue
-            v = valuation(p_prime, P)
-            pn = p_prime / gamma ** v if v else p_prime
-            if not pn.is_integral():
-                continue
-            if ring.is_unit(p_prime):
-                # p' itself is an S-unit: close at length 3
-                steps_unit = steps + [
-                    (field.from_rational(-k), p_prime),
-                    (r1 / p_prime, field.zero()),
-                ]
-                return DivisionChain(ring=ring, a=a, b=b, steps=steps_unit)
-            q_ideal = _prime_ideal_of(pn)
-            if q_ideal is None:
-                continue
-            u = _match_unit(r1, q_ideal, unit_gens, gamma, caps.unit_exponent_bound)
-            if u is None:
-                continue
-            q2 = field.from_rational(-k)
-            q3 = (r1 - u) / p_prime
-            q4 = u.inverse() * p_prime
-            chain = DivisionChain(
-                ring=ring,
-                a=a,
-                b=b,
-                steps=steps
-                + [(q2, p_prime), (q3, u), (q4, field.zero())],
-            )
-            return chain
+    for k in _zigzag(caps.candidate_bound):
+        p_prime = b + r1 * k
+        if p_prime.is_zero():
+            continue
+        v = valuation(p_prime, P)
+        pn = p_prime / gamma ** v if v else p_prime
+        if not pn.is_integral():
+            continue
+        if ring.is_unit(p_prime):
+            # p' itself is an S-unit: close at length 3
+            steps_unit = steps + [
+                (field.from_rational(-k), p_prime),
+                (r1 / p_prime, field.zero()),
+            ]
+            return DivisionChain(ring=ring, a=a, b=b, steps=steps_unit)
+        q_ideal = _prime_ideal_of(pn)
+        if q_ideal is None:
+            continue
+        u = _match_unit(r1, q_ideal, unit_gens, gamma, caps.unit_exponent_bound)
+        if u is None:
+            continue
+        q2 = field.from_rational(-k)
+        q3 = (r1 - u) / p_prime
+        q4 = u.inverse() * p_prime
+        return DivisionChain(
+            ring=ring, a=a, b=b, steps=steps + [(q2, p_prime), (q3, u), (q4, field.zero())]
+        )
     raise SearchExhausted(
         f"stage 2: no auxiliary principal prime within |k| <= {caps.candidate_bound} "
         f"and unit exponents <= {caps.unit_exponent_bound}"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DiscMismatch, DivideByZero, NotIrreducible
-from .intervals import DEFAULT_PREC, ComplexInterval, RealInterval, eval_poly_interval
+from .intervals import DEFAULT_PREC, ComplexInterval, RealInterval, eval_poly_interval, sqrt_interval
 from .rootfinding import certified_roots, is_irreducible
 
 
@@ -157,13 +157,6 @@ class NumberField:
         inv, q = self._basis_inv
         return _lowest([sum(n * row[i] for n, row in zip(x.nums, inv)) for i in range(self.degree)],
                        x.den * q)
-
-    def to_integral_coords(self, x: "NFElement") -> tuple[Fraction, ...]:
-        """Coordinates of x over the integral basis."""
-        if self._power_integral_basis:
-            return x.coords
-        nums, den = self.integral_nums(x)
-        return tuple(Fraction(n, den) for n in nums)
 
     def from_integral_coords(self, coords, den: int = 1) -> "NFElement":
         """The element sum_i coords_i b_i / den over the integral basis b_i;
@@ -381,6 +374,16 @@ class NFElement:
 # heights
 
 
+def embedding_product(x: NFElement, g) -> RealInterval:
+    """prod_sigma g(|sigma(x)|^2) over the d complex embeddings, for g mapping
+    an interval to an interval, rounded outward to DEFAULT_PREC + 16 bits
+    after each factor."""
+    out = RealInterval.exact(1)
+    for i in range(x.field.degree):
+        out = (out * g(x.embed(i).abs_sq())).rounded(DEFAULT_PREC + 16)
+    return out
+
+
 def weil_height_pow_d(x: NFElement) -> RealInterval:
     """Certified enclosure of H(x)^d.
 
@@ -390,15 +393,10 @@ def weil_height_pow_d(x: NFElement) -> RealInterval:
     """
     if x.is_zero():
         return RealInterval.exact(1)
-    field = x.field
-    if field.degree == 1:
+    if x.field.degree == 1:
         return RealInterval.exact(max(abs(x.nums[0]), x.den))
-    den_norm = denominator_ideal_norm(x)
-    arch = RealInterval.exact(1)
-    for i in range(field.degree):
-        emb = x.embed(i)
-        arch = (arch * emb.abs_interval().max_with(1)).rounded(DEFAULT_PREC + 16)
-    return (arch * den_norm).rounded(DEFAULT_PREC + 16)
+    arch = embedding_product(x, lambda mag_sq: sqrt_interval(mag_sq).max_with(1))
+    return (arch * denominator_ideal_norm(x)).rounded(DEFAULT_PREC + 16)
 
 
 def denominator_ideal_norm(x: NFElement) -> int:

@@ -8,6 +8,9 @@ exact.  Primes above p are produced by Dedekind-Kummer factorization of the
 minimal polynomial mod p, valid because primes dividing the index
 [O_K : Z[alpha]] are rejected; the factorization mod p is computed here
 (squarefree, distinct-degree, then Cantor-Zassenhaus equal-degree splitting).
+The same factorization clears p from a denominator on the general path of
+residues and lifts: the Dedekind-Kummer cofactor h(alpha) of P = (p, g(alpha)),
+h = (min_poly mod p) / g^e, lies in every other prime above p but not in P.
 """
 from __future__ import annotations
 
@@ -413,7 +416,6 @@ class PrimeIdealData:
     factor_poly: tuple[int, ...]  # monic irreducible factor of min_poly mod p
     as_ideal: FractionalIdeal
     _power_cache: dict = dc_field(default_factory=dict, repr=False)
-    _coprime_part: FractionalIdeal | None = dc_field(default=None, repr=False)
 
     @property
     def norm(self) -> int:
@@ -483,17 +485,6 @@ def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
         assert q.as_ideal.norm() == q.norm
     field._prime_cache[cache_key] = out
     return out
-
-
-def coprime_part_above_p(P: PrimeIdealData) -> FractionalIdeal:
-    """The ideal prod_{Q | p, Q != P} Q^{e_Q} = (p) * P^{-e}."""
-    if P._coprime_part is None:
-        others = [q for q in primes_above(P.field, P.p) if q != P]
-        result = whole_ring(P.field)
-        for q in others:
-            result = result.mul(q.power(q.e))
-        P._coprime_part = result
-    return P._coprime_part
 
 
 # ---------------------------------------------------------------------------
@@ -717,34 +708,25 @@ def canonical_residue(x: NFElement, ideal: FractionalIdeal) -> NFElement:
 def make_coprime_denominator(x: NFElement, P: PrimeIdealData) -> tuple[NFElement, NFElement]:
     """Write x = a/b with a, b in O_K and v_P(b) = 0.
 
-    Requires v_P(x) >= 0.  The p-part of the integer denominator is traded
-    for powers of an element of prod_{Q|p, Q!=P} Q^{e_Q} that avoids P.
+    Requires v_P(x) >= 0.  The p-part p^m of the integer denominator is
+    traded for beta^m, beta = h(alpha) the cofactor of the module docstring:
+    as p does not divide the index, beta is integral, lies in Q^{e_Q} for
+    every other Q above p and is not in P.
     """
     y, b0 = x.content_split()
     m0 = _v_p(b0, P.p)
     field = x.field
     if m0 == 0:
         return y, field.from_rational(b0)
-    beta = _beta_avoiding_p(P)
+    h = [c % P.p for c in field.min_poly]
+    for _ in range(P.e):
+        h = _fp_divmod(h, P.factor_poly, P.p)[0]
+    beta = field.element(h)
     a = (y * beta ** m0) / (P.p ** m0)
     if not a.is_integral():
         raise NotIntegralAtI("v_P(x) < 0: cannot clear the p-part of the denominator")
     b = field.from_rational(b0 // P.p ** m0) * beta ** m0
     return a, b
-
-
-def _beta_avoiding_p(P: PrimeIdealData) -> NFElement:
-    """First HNF basis vector of prod_{Q|p, Q!=P} Q^{e_Q} outside P."""
-    key = ("beta",)
-    if key in P._power_cache:
-        return P._power_cache[key]
-    ideal = coprime_part_above_p(P)
-    for row in ideal.hnf:
-        cand = P.field.from_integral_coords(row)
-        if not P.as_ideal.contains(cand):
-            P._power_cache[key] = cand
-            return cand
-    raise AssertionError("coprime part contained in P: impossible for distinct primes")
 
 
 def invert_mod_prime_power(b: NFElement, P: PrimeIdealData, k: int) -> NFElement:

@@ -218,30 +218,19 @@ def nth_root_interval(x: "RealInterval | Rat", n: int, prec: int = DEFAULT_PREC)
     if xi.lo < 0:
         raise ValueError("n-th root of negative interval")
 
-    def root_down(q: Fraction) -> Fraction:
-        if q == 0:
-            return Fraction(0)
+    def root(q: Fraction, up: bool) -> Fraction:
+        """q^(1/n): exact when q is the n-th power of a rational, else rounded
+        down (or up) to a multiple of 2^-prec."""
         rn = _int_nth_root_floor(q.numerator, n)
         rd = _int_nth_root_floor(q.denominator, n)
-        if rn ** n == q.numerator and rd ** n == q.denominator and Fraction(rn, rd) ** n == q:
+        if rn ** n == q.numerator and rd ** n == q.denominator:
             return Fraction(rn, rd)
-        scaled = (q.numerator << (n * prec)) // q.denominator
-        return Fraction(_int_nth_root_floor(scaled, n), 1 << prec)
-
-    def root_up(q: Fraction) -> Fraction:
-        if q == 0:
-            return Fraction(0)
-        rn = _int_nth_root_floor(q.numerator, n)
-        rd = _int_nth_root_floor(q.denominator, n)
-        if rn ** n == q.numerator and rd ** n == q.denominator and Fraction(rn, rd) ** n == q:
-            return Fraction(rn, rd)
-        scaled = -((-q.numerator << (n * prec)) // q.denominator)  # ceil
+        num = q.numerator << (n * prec)
+        scaled = -(-num // q.denominator) if up else num // q.denominator
         r = _int_nth_root_floor(scaled, n)
-        if r ** n < scaled:
-            r += 1
-        return Fraction(r, 1 << prec)
+        return Fraction(r + 1 if up and r ** n < scaled else r, 1 << prec)
 
-    return RealInterval(root_down(xi.lo), root_up(xi.hi))
+    return RealInterval(root(xi.lo, False), root(xi.hi, True))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,8 @@ def test_evaluate_cf_examples(kq):
     assert CF.evaluate_cf([kq.from_rational(9)]) == kq.from_rational(9)
     with pytest.raises(ZeroDenominator):
         CF.evaluate_cf([kq.one(), kq.zero(), kq.from_rational(-1), kq.one()])
+    with pytest.raises(ZeroDenominator):  # the outermost tail [1, -1] is zero
+        CF.evaluate_cf([kq.one(), kq.one(), kq.from_rational(-1)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,7 +564,7 @@ def test_centre_falls_back_on_huge_coordinates(monkeypatch):
     survivors = []
     for jxi in float_centres:
         nums, q = field.integral_nums(jxi)
-        survivors.append([tau for tau in _window(floor, field.to_integral_coords(jxi)) if floor._float_verdict(
+        survivors.append([tau for tau in _window(floor, [F(n, q) for n in nums]) if floor._float_verdict(
             [n - t * q for n, t in zip(nums, tau)], q,
             float(eps_sq.lo) * (1 - 2.0 ** -40), float(eps_sq.hi) * (1 + 2.0 ** -40))[0]
             is not False])

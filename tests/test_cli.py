@@ -309,12 +309,21 @@ REP_QQ = ["expand", "qq", "--prime", "5", "--alpha", "1/3", "--floor", "represen
     (["constants", "qsqrt14", "--M", "-3", "--json"], "--M must be at least 1, got -3"),
     (REP_QQ + ["--M", "0"], "--M must be at least 2, got 0"),
     (REP_QQ + ["--M", "1"], "--M must be at least 2, got 1"),
+    (["constants", "qsqrt14", "--M", "1", "--json"], "M = 1 yields epsilon >= 1 (needs M > c(ideal,K) = 7.483)"),
+    (["expand", "qsqrt14", "--prime", "48953", "--alpha", "1/3,2/7", "--floor", "representative", "--M", "3"],
+     "M = 3 yields epsilon >= 1 (needs M > c(ideal,K) = 7.483)"),
+    (["expand", "qq", "--prime", "5", "--alpha", "1/3", "--M", "2", "--json"],
+     "--M needs --floor representative; the browkin floor has no M or epsilon"),
+    (["verify-floor", "qq", "--prime", "5", "--epsilon", "1/2", "--json"],
+     "--epsilon needs --floor representative; the browkin floor has no M or epsilon"),
     (["divchain", "qq", "--a", "3", "--b", "0", "--S", "5", "--json"], "--b must be nonzero"),
     (["table1", "/nonexistent", "--json"], "no field files (*.json) in /nonexistent"),
     (["table1", str(Path(__file__).parent), "--json"], f"no field files (*.json) in {Path(__file__).parent}"),
 ], ids=["prime-index", "s-index-too-large", "s-index-negative", "verify-floor-samples", "verify-type-samples",
         "epsilon-2", "epsilon-1", "verify-floor-epsilon", "epsilon-0", "epsilon-negative", "constants-epsilon",
-        "constants-M-0", "constants-M-negative", "representative-M-0", "representative-M-1", "b-zero",
+        "constants-M-0", "constants-M-negative", "representative-M-0", "representative-M-1",
+        "constants-M-epsilon-not-below-1", "representative-M-epsilon-not-below-1", "browkin-M", "browkin-epsilon",
+        "b-zero",
         "table1-missing-dir", "table1-no-json"])
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
     """An option outside the values any computation can use exits 2 with the
@@ -322,6 +331,14 @@ def test_out_of_range_option_is_an_input_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"input error: {message}" in captured.err
+
+
+def test_chosen_M_with_epsilon_not_below_one_is_an_assertion_failure(monkeypatch, capsys):
+    """Without --M the program chooses M, so epsilon >= 1 is its own failure:
+    exit 1, not an input error."""
+    monkeypatch.setattr("padiccf.constants.choose_M", lambda field: 1)
+    assert main(["constants", "qsqrt14", "--json"]) == 1
+    assert "error: M = 1 yields epsilon >= 1" in capsys.readouterr().err
 
 
 def test_bundled_field_load_error_is_not_not_found(monkeypatch, capsys):

@@ -431,6 +431,63 @@ def test_zp_path_equals_hnf_path(zp_primes, which, nums, den, p_exp, g_exp):
     assert lifted == eta or I.valuation(eta - lifted, P) >= 1
 
 
+@pytest.fixture(scope="module")
+def cofactor_primes(k14):
+    """Every prime above 2, 3, 5 and 7 in Q(sqrt14) (ramified, inert, split,
+    ramified) and the residue-degree-2 prime above 19 in table1 row 5: the
+    primes where the residue takes the HNF path or p has several primes."""
+    out = [P for p in (2, 3, 5, 7) for P in I.primes_above(k14, p)]
+    out += [P for P in I.primes_above(load_bundled("table1/row5.json").field, 19) if P.f == 2]
+    assert [(P.p, P.e, P.f) for P in out] == [(2, 2, 1), (3, 1, 2), (5, 1, 1), (5, 1, 1), (7, 2, 1), (19, 1, 2)]
+    return out
+
+
+def _p_element(P, nums, den, m, k):
+    """y * g(alpha)^k / (den * p^m) for P = (p, g(alpha)), y in Z[alpha]:
+    v_P is at least k - e*m, and the other primes above p can carry p^m."""
+    field = P.field
+    return field.element(nums[:field.degree]) * P.gen2 ** k / (den * P.p ** m)
+
+
+P_ELEMENTS = dict(
+    which=st.integers(0, 5),
+    nums=st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=4, max_size=4),
+    den=st.sampled_from((1, 11, 13, 23)),
+    m=st.integers(1, 3),
+    k=st.integers(0, 7),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**P_ELEMENTS)
+def test_make_coprime_denominator(cofactor_primes, which, nums, den, m, k):
+    """x = a/b with a, b in O_K and v_P(b) = 0 whenever v_P(x) >= 0, for x
+    whose denominator carries p; NotIntegralAtI when v_P(x) < 0."""
+    P = cofactor_primes[which]
+    x = _p_element(P, nums, den, m, k)
+    assume(not x.is_zero() and x.content_split()[1] % P.p == 0)
+    if I.valuation(x, P) < 0:
+        with pytest.raises(NotIntegralAtI):
+            I.make_coprime_denominator(x, P)
+        return
+    a, b = I.make_coprime_denominator(x, P)
+    assert a.is_integral() and b.is_integral() and a / b == x
+    assert I.valuation(b, P) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), **P_ELEMENTS)
+def test_residue_hnf_is_the_box_representative(cofactor_primes, which, nums, den, m, k, n):
+    """_residue_hnf(mu, P, n) is congruent to mu mod P^n and is its own
+    canonical residue mod P^n: the unique representative in P^n's HNF box."""
+    P = cofactor_primes[which]
+    mu = _p_element(P, nums, den, m, k)
+    assume(not mu.is_zero() and I.valuation(mu, P) >= 0)
+    r = I._residue_hnf(mu, P, n)
+    assert I.canonical_residue(r, P.power(n)) == r
+    assert r == mu or I.valuation(mu - r, P) >= n
+
+
 # -- principal generators ---------------------------------------------------------------
 
 
