@@ -41,9 +41,9 @@ def main() -> None:
         exp = CF.expand(alpha, spec)
         nus = [float(s.nu.hi) for s in exp.steps if s.nu is not None]
         ok = CF.evaluate_cf(exp.partial_quotients) == alpha if exp.is_finite else False
+        nu = f"max nu ~ {max(nus):.3e}" if nus else "no admissible quotients"
         print(f"alpha = ({','.join(str(c) for c in alpha.coords)}): "
-              f"{exp.status}, roundtrip = {ok}, "
-              f"max nu ~ {max(nus):.3e}" if nus else "no admissible quotients")
+              f"{exp.status}, roundtrip = {ok}, {nu}")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def find_unit_pair(min_poly: list[int], bound: int = 8, prec: int = 96):
             candidates.append((sup_norm(vec), coeffs, x, vec))
     candidates.sort(key=lambda t: (t[0], t[1]))
     if rank == 1:
-        chosen = [(candidates[0][1], candidates[0][2], candidates[0][3])]
+        chosen = [(c[1], c[2], c[3]) for c in candidates[:1]]  # none found: the rank check below stops
     else:
         # minimize the covolume over all pairs of short candidates: the pair
         # of smallest covolume among many small units is fundamental

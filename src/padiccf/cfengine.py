@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import geometry
 from .constants import c_alpha, c_MK, choose_M, epsilon_for, height_constant, theta
 from .errors import (
     EvenPrime,
@@ -335,8 +336,6 @@ def make_representative_type(
 ) -> TypeSpec:
     """Assemble the explicit floor from the constants pipeline; warns when
     the prime norm is at or below the c(M,K) threshold."""
-    from . import geometry
-
     warnings: list[str] = []
     if M is None:
         M = choose_M(field)

@@ -576,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numeric_options(args) -> None:
     """Reject an --epsilon outside (0, 1), an --M below 1 (2 for the representative
-    floor), and --M or --epsilon with the Browkin floor, before any computation."""
+    floor), and --M, --epsilon or --prime 2 with the Browkin floor, before any
+    computation."""
     eps = getattr(args, "epsilon", None)
     if eps is not None and not 0 < Fraction(eps) < 1:
         raise FieldSpecError(f"--epsilon must lie strictly between 0 and 1, got {eps}")
@@ -585,6 +586,8 @@ def _check_numeric_options(args) -> None:
         for option, value in (("--M", M), ("--epsilon", eps)):
             if value is not None:
                 raise FieldSpecError(f"{option} needs --floor representative; the browkin floor has no M or epsilon")
+        if args.prime == 2:
+            raise FieldSpecError("the browkin floor's centered digit set needs an odd prime, got --prime 2")
     least = 2 if getattr(args, "floor", None) == "representative" else 1
     if M is not None and M < least:
         raise FieldSpecError(f"--M must be at least {least}, got {M}")

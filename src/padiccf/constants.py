@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import geometry
 from .errors import EpsilonNotLessThanOne
 from .exactnf import NFElement, NumberField, denominator_ideal_norm, embedding_product
 from .ideals import FractionalIdeal, PrimeIdealData, valuation, whole_ring
@@ -174,8 +175,6 @@ def compute_constants(
     epsilon_prime_samples: list[int] | None = None,
 ) -> ConstantsReport:
     """Full constants pipeline for the trivial-class representative O_K."""
-    from . import geometry
-
     warnings: list[str] = []
     d = field.degree
     lat = geometry.log_lattice(field, units)

@@ -402,24 +402,12 @@ def weil_height_pow_d(x: NFElement) -> RealInterval:
 def denominator_ideal_norm(x: NFElement) -> int:
     """Exact norm of the denominator ideal of x.
 
-    Equals b^d / N((y) + (b)) for x = y/b in lowest integral terms, which is
-    prod over primes with v_P(x) < 0 of N(P)^(-v_P(x)).
+    Equals 1 / N(x O_K + O_K), as v_P(x O_K + O_K) = min(v_P(x), 0): the
+    product over primes with v_P(x) < 0 of N(P)^(-v_P(x)).
     """
-    if x.is_zero():
+    if x.is_integral():
         return 1
-    y, b = x.content_split()
-    if b == 1:
-        return 1
-    from .ideals import hnf_rows  # local import: ideals builds on exactnf
+    from .ideals import span  # local import: ideals builds on exactnf
 
-    # (y) + (b) is spanned by y w_i (mod b) and b e_i over the integral basis w_i
-    field = x.field
-    d = field.degree
-    rows = [[n % b for n in field.integral_nums(y * field.element(w))[0]]
-            for w in field.integral_basis]
-    rows += [[b * (i == j) for j in range(d)] for i in range(d)]
-    h = hnf_rows(rows, d)
-    det = 1
-    for i in range(d):
-        det *= h[i][i]
-    return b ** d // det
+    basis = [x.field.element(w) for w in x.field.integral_basis]
+    return int(1 / span([x * w for w in basis] + basis).norm())

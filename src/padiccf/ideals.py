@@ -3,11 +3,12 @@ residue fields, canonical residues and lifts.
 
 Fractional ideals are integer row lattices over the integral basis (upper
 triangular HNF, positive diagonal, entries above a pivot reduced into
-[0, pivot)) together with a positive integer denominator.  All operations are
-exact.  Primes above p are produced by Dedekind-Kummer factorization of the
-minimal polynomial mod p, valid because primes dividing the index
-[O_K : Z[alpha]] are rejected; the factorization mod p is computed here
-(squarefree, distinct-degree, then Cantor-Zassenhaus equal-degree splitting).
+[0, pivot)) together with a positive integer denominator; each is built by
+span, from elements of K that span its lattice.  All operations are exact.
+Primes above p are produced by Dedekind-Kummer factorization of the minimal
+polynomial mod p, valid because primes dividing the index [O_K : Z[alpha]]
+are rejected; the factorization mod p is computed here (squarefree,
+distinct-degree, then Cantor-Zassenhaus equal-degree splitting).
 The same factorization clears p from a denominator on the general path of
 residues and lifts: the Dedekind-Kummer cofactor h(alpha) of P = (p, g(alpha)),
 h = (min_poly mod p) / g^e, lies in every other prime above p but not in P.
@@ -20,6 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
 
+from . import geometry
 from .errors import (
     IndexDivisor,
     NotIntegralAtI,
@@ -214,24 +216,7 @@ class FractionalIdeal:
     # -- arithmetic -------------------------------------------------------------
 
     def mul(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        d = self.field.degree
-        mine = [self.field.from_integral_coords(r) for r in self.hnf]
-        theirs = [self.field.from_integral_coords(r) for r in other.hnf]
-        rows = []
-        for a in mine:
-            for b in theirs:
-                nums, den = self.field.integral_nums(a * b)
-                assert den == 1
-                rows.append(list(nums))
-        return FractionalIdeal(self.field, hnf_rows(rows, d), self.denom * other.denom)
-
-    __mul__ = mul
-
-    def add(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        den = lcm(self.denom, other.denom)
-        rows = [[x * (den // self.denom) for x in row] for row in self.hnf]
-        rows += [[x * (den // other.denom) for x in row] for row in other.hnf]
-        return FractionalIdeal(self.field, hnf_rows(rows, self.field.degree), den)
+        return span([a * b for a in self.basis_elements() for b in other.basis_elements()])
 
     def __eq__(self, other) -> bool:
         return (
@@ -254,14 +239,22 @@ def whole_ring(field: NumberField) -> FractionalIdeal:
     return FractionalIdeal(field, eye, 1)
 
 
+def span(elements: list[NFElement]) -> FractionalIdeal:
+    """The fractional ideal whose lattice is the Z-span of the given elements
+    of K: their integral-basis numerators over their lcm, in HNF.  The caller
+    supplies a spanning set of an ideal, such as x*b_i over the integral basis
+    b_i; a lattice has one HNF, so the result does not depend on the set."""
+    field = elements[0].field
+    rows = [field.integral_nums(x) for x in elements]
+    den = lcm(*(q for _, q in rows))
+    return FractionalIdeal(field, hnf_rows([[n * (den // q) for n in nums] for nums, q in rows],
+                                           field.degree), den)
+
+
 def principal_ideal(x: NFElement) -> FractionalIdeal:
     if x.is_zero():
         raise ValueError("zero ideal not supported")
-    field = x.field
-    rows = [field.integral_nums(x * b) for b in whole_ring(field).basis_elements()]
-    den = lcm(*(q for _, q in rows))
-    int_rows = [[n * (den // q) for n in nums] for nums, q in rows]
-    return FractionalIdeal(field, hnf_rows(int_rows, field.degree), den)
+    return span([x * b for b in whole_ring(x.field).basis_elements()])
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +463,7 @@ def primes_above(field: NumberField, p: int) -> list[PrimeIdealData]:
         for c in coeffs:
             gen2 = gen2 + alpha_pow * c
             alpha_pow = alpha_pow * field.generator()
-        rows = [[p * int(i == j) for j in range(d)] for i in range(d)]
-        for b in basis:
-            nums, den = field.integral_nums(gen2 * b)
-            assert den == 1
-            rows.append(list(nums))
-        ideal = FractionalIdeal(field, hnf_rows(rows, d), 1)
+        ideal = span([b * p for b in basis] + [gen2 * b for b in basis])
         out.append(
             PrimeIdealData(field=field, p=p, gen2=gen2, e=mult, f=deg,
                            factor_poly=coeffs, as_ideal=ideal)
@@ -875,8 +863,6 @@ def principal_generator(P: PrimeIdealData, units=None) -> NFElement:
             g = field.from_integral_coords(coords)
             if abs(g.norm()) == target:
                 if units is not None:
-                    from . import geometry
-
                     g = geometry.unit_reduce(g, units)
                 for c in g.nums:
                     if c != 0:
@@ -917,12 +903,14 @@ def degree_one_primes_above(
 class SIntegerRing:
     """Ring O_S: elements of K integral outside the finite places in S.
 
-    contains, is_unit and coprime ask whether a prime outside S divides a
-    denominator or a norm.  A rational prime not under S that divides it
-    already answers, so nothing is factored: the rational primes under S are
-    divided out, and only the primes Q not in S above them need a valuation.
-    Every such Q is valued, whether or not p divides the norm: v_Q can be
-    nonzero while v_p of the norm cancels against a prime of S above p.
+    contains asks whether a prime outside S divides a denominator, and
+    coprime whether one divides the norm of the ideal a O_K + b O_K.  A
+    rational prime not under S that divides it already answers, so nothing is
+    factored: the rational primes under S are divided out, and only the
+    primes Q not in S above them need a valuation.  Every such Q is valued,
+    whether or not p divides the norm: v_Q can be nonzero while v_p of the
+    norm cancels against a prime of S above p.  is_unit asks membership of x
+    and of 1/x.
     """
 
     field: NumberField
@@ -932,12 +920,13 @@ class SIntegerRing:
         """None if a rational prime not under S divides n != 0; otherwise the
         primes Q not in S above the rational primes under S."""
         n = abs(n)
-        out = []
-        for p in sorted({q.p for q in self.S}):
+        under = sorted({q.p for q in self.S})
+        for p in under:
             while n % p == 0:
                 n //= p
-            out += [q for q in primes_above(self.field, p) if q not in self.S]
-        return out if n == 1 else None
+        if n != 1:
+            return None
+        return [q for p in under for q in primes_above(self.field, p) if q not in self.S]
 
     def contains(self, x: NFElement) -> bool:
         """v_Q(x) >= 0 for every Q not in S.  Each prime dividing x's minimal
@@ -948,26 +937,21 @@ class SIntegerRing:
         return others is not None and all(valuation(x, q) >= 0 for q in others)
 
     def is_unit(self, x: NFElement) -> bool:
-        """S-unit test: v_Q(x) = 0 for every Q not in S above a prime under S.
-        v_p(N(x)) = sum_Q f_Q v_Q(x), so a prime not under S that divides N(x)
-        lies under some Q with v_Q(x) != 0."""
-        if x.is_zero():
-            return False
-        nrm = x.norm()
-        others = self._outside_s(nrm.numerator * nrm.denominator)
-        return others is not None and all(valuation(x, q) == 0 for q in others)
+        """x and 1/x both lie in O_S.  1/x is asked first: the candidates of
+        clw_expand's stage 2 lie in O_S, and most of them are not units."""
+        return not x.is_zero() and self.contains(x.inverse()) and self.contains(x)
 
     def coprime(self, a: NFElement, b: NFElement) -> bool:
         """No prime outside S divides both a and b, for a and b in O_S.  Then
         v_Q(a O_K + b O_K) >= 0 for every Q not in S, so a prime not under S
         that divides the norm of that ideal lies under some Q dividing it."""
-        ideals = [principal_ideal(x) for x in (a, b) if not x.is_zero()]
-        if not ideals:
+        if a.is_zero() and b.is_zero():
             return False
-        g = ideals[0] if len(ideals) == 1 else ideals[0].add(ideals[1])
+        basis = whole_ring(self.field).basis_elements()
+        g = span([a * w for w in basis] + [b * w for w in basis])
         nrm = g.norm()
         others = self._outside_s(nrm.numerator * nrm.denominator)
         return others is not None and all(
-            min(valuation(y, q) for y in g.basis_elements() if not y.is_zero()) <= 0
+            min(valuation(y, q) for y in g.basis_elements()) <= 0
             for q in others
         )

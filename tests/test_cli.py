@@ -316,6 +316,10 @@ REP_QQ = ["expand", "qq", "--prime", "5", "--alpha", "1/3", "--floor", "represen
      "--M needs --floor representative; the browkin floor has no M or epsilon"),
     (["verify-floor", "qq", "--prime", "5", "--epsilon", "1/2", "--json"],
      "--epsilon needs --floor representative; the browkin floor has no M or epsilon"),
+    (["expand", "qq", "--prime", "2", "--alpha", "1/3", "--json"],
+     "the browkin floor's centered digit set needs an odd prime, got --prime 2"),
+    (["verify-floor", "qq", "--prime", "2", "--json"],
+     "the browkin floor's centered digit set needs an odd prime, got --prime 2"),
     (["divchain", "qq", "--a", "3", "--b", "0", "--S", "5", "--json"], "--b must be nonzero"),
     (["table1", "/nonexistent", "--json"], "no field files (*.json) in /nonexistent"),
     (["table1", str(Path(__file__).parent), "--json"], f"no field files (*.json) in {Path(__file__).parent}"),
@@ -323,7 +327,7 @@ REP_QQ = ["expand", "qq", "--prime", "5", "--alpha", "1/3", "--floor", "represen
         "epsilon-2", "epsilon-1", "verify-floor-epsilon", "epsilon-0", "epsilon-negative", "constants-epsilon",
         "constants-M-0", "constants-M-negative", "representative-M-0", "representative-M-1",
         "constants-M-epsilon-not-below-1", "representative-M-epsilon-not-below-1", "browkin-M", "browkin-epsilon",
-        "b-zero",
+        "browkin-expand-prime-2", "browkin-verify-floor-prime-2", "b-zero",
         "table1-missing-dir", "table1-no-json"])
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
     """An option outside the values any computation can use exits 2 with the

@@ -370,10 +370,11 @@ def test_denominator_ideal_norm(k14):
 
 def _oracle_denominator_norm(x):
     """b^d / N((y) + (b)) with the two principal ideals built and added."""
-    from padiccf.ideals import principal_ideal
+    from padiccf.ideals import principal_ideal, span
 
     y, b = x.content_split()
-    n = F(b) ** x.field.degree / principal_ideal(y).add(principal_ideal(x.field.from_rational(b))).norm()
+    g = span(principal_ideal(y).basis_elements() + principal_ideal(x.field.from_rational(b)).basis_elements())
+    n = F(b) ** x.field.degree / g.norm()
     assert n.denominator == 1
     return int(n)
 

@@ -230,6 +230,17 @@ def test_ideal_mul_commutes_and_canonical(k14):
             assert ab == ba and ab.hnf == ba.hnf
 
 
+def test_ideal_products_over_non_power_basis():
+    """Over Q(sqrt5) with O_K = Z[(1+sqrt5)/2], whose basis has denominators:
+    the two primes above 11 multiply to (11) and add up to O_K, and the unit
+    (1+sqrt5)/2 generates O_K."""
+    k5 = new_field([-5, 0, 1], integral_basis=[[1, 0], [F(1, 2), F(1, 2)]], field_disc=5)
+    q1, q2 = (q.as_ideal for q in I.primes_above(k5, 11))
+    assert q1.mul(q2) == I.principal_ideal(k5.from_rational(11))
+    assert I.span(q1.basis_elements() + q2.basis_elements()) == I.whole_ring(k5)
+    assert I.principal_ideal(k5.element([F(1, 2), F(1, 2)])) == I.whole_ring(k5)
+
+
 def test_ideal_contains(k14, p5_split):
     assert p5_split.as_ideal.contains(k14.element([3, 1]))
     assert p5_split.as_ideal.contains(k14.from_rational(5))
@@ -608,6 +619,18 @@ def test_s_integer_predicates_when_norm_valuations_cancel(k14, p5_split):
     assert not ring.coprime(x, other)
 
 
+def test_s_unit_needs_membership():
+    """In qz3 with S = {(2), (5)}, both inert, x = 20/3 - (20/3)alpha + 10alpha^2
+    has N(x) = 1000 and valuations 2 and -1 at the two primes above 3: the
+    norm hides the pole, so x is neither in O_S nor an S-unit."""
+    k = load_bundled("qz3.json").field
+    ring = I.SIntegerRing(field=k, S=(*I.primes_above(k, 2), *I.primes_above(k, 5)))
+    x = k.element([F(20, 3), F(-20, 3), 10])
+    assert x.norm() == 1000
+    assert not ring.contains(x)
+    assert not ring.is_unit(x)
+
+
 def test_s_integer_predicates_at_index_divisors():
     """Over Q(sqrt5) with O_K = Z[(1+sqrt5)/2], 2 divides the index
     [O_K : Z[sqrt5]] and primes_above(2) is refused.  The predicates still
@@ -643,7 +666,7 @@ def _is_unit_by_factoring(ring, x):
 
 def _coprime_by_factoring(ring, a, b):
     # v_Q(aO_K + bO_K) > 0 only where Q divides a's integral numerator
-    g = I.principal_ideal(a).add(I.principal_ideal(b))
+    g = I.span(I.principal_ideal(a).basis_elements() + I.principal_ideal(b).basis_elements())
     y = (a if not a.is_zero() else b).content_split()[0]
     return _over_factors(ring, int(y.norm()), lambda q: min(
         I.valuation(e, q) for e in g.basis_elements() if not e.is_zero()) <= 0)
